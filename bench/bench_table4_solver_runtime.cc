@@ -15,33 +15,26 @@
  * time (equivalently decisions/s). A final section demonstrates the
  * plan memo: re-planning an unchanged model reuses cached incumbents.
  *
- * A final portfolio section measures the inside-one-window parallel
- * search: symmetry breaking's conflict reduction on interchangeable
- * windows, the K=4 configuration portfolio proving strictly more
- * budget-truncated windows optimal at an unchanged per-configuration
- * decision budget, and byte-determinism across pool sizes 1/2/8.
+ * A final search section measures symmetry breaking's conflict
+ * reduction on interchangeable windows and records which
+ * budget-truncated window instances the solver proves optimal under
+ * the Table-4 planner's restart setup.
  *
  * With an argument, also writes the measurements as JSON (consumed by
- * tools/run_benchmarks.sh -> BENCH_table4.json). With
- * `--portfolio-only PATH` runs just the portfolio section and writes
- * its JSON fragment to PATH (tools/run_benchmarks.sh --only portfolio).
+ * tools/run_benchmarks.sh -> BENCH_table4.json).
  */
 
 #include "bench/harness.hh"
 
-#include <chrono>
-#include <cstring>
 #include <fstream>
 #include <iterator>
 #include <sstream>
-#include <thread>
 
 #include "common/logging.hh"
 #include "common/rng.hh"
 #include "core/lc_opg.hh"
 #include "graph/builder.hh"
 #include "profiler/capacity.hh"
-#include "solver/portfolio.hh"
 #include "solver/solver.hh"
 #include "solver/symmetry.hh"
 
@@ -229,31 +222,26 @@ symWindowInstance(const std::string &name, int weights, int layers,
 }
 
 /**
- * Portfolio + symmetry study (the `solver_portfolio` JSON section).
+ * Window search study (the `solver_search` JSON section).
  *
  * (a) Symmetry: interchangeable windows solved to exhaustion with and
  *     without lex rows must agree on the optimum, and the rows must
  *     cut conflicts (the aggregate plain/broken conflict ratio is the
  *     machine-independent speedup figure the regression gate tracks).
- * (b) Budget: instances solved by a single restarting configuration
- *     vs the K=4 portfolio at the identical per-configuration decision
- *     budget — the portfolio must prove strictly more windows optimal
- *     and never end with a worse objective.
- * (c) Determinism: the merged portfolio result must be byte-identical
- *     across pool sizes 1/2/8.
- * (d) Informational: Llama2-70B whole-plan wall time, single vs
- *     portfolio, plus the symmetry rows the planner adds by default.
+ * (b) Budget: OPG-window instances solved under a fixed decision
+ *     budget with the Table-4 planner's restart setup; the statuses,
+ *     objectives and the count proven optimal are deterministic and
+ *     gated against the committed snapshot.
  *
- * Returns {ok, fragment}; the fragment is the `"solver_portfolio"`
- * member without a trailing comma, shared by the full run and
- * --portfolio-only.
+ * Returns {ok, fragment}; the fragment is the `"solver_search"`
+ * member without a trailing comma.
  */
 std::pair<bool, std::string>
-reportPortfolioStudy()
+reportSearchStudy()
 {
     bool ok = true;
     std::ostringstream json;
-    json << "  \"solver_portfolio\": {\n";
+    json << "  \"solver_search\": {\n";
 
     // --------------------------------------------------------------
     // (a) Symmetry breaking on interchangeable windows.
@@ -335,12 +323,11 @@ reportPortfolioStudy()
          << conflict_ratio << ",\n";
 
     // --------------------------------------------------------------
-    // (b) Portfolio vs single configuration at an unchanged
-    //     per-configuration decision budget.
+    // (b) Budget-truncated windows under a fixed decision budget.
     // --------------------------------------------------------------
     printHeading(std::cout,
-                 "Portfolio (K=4) vs single configuration at the same "
-                 "per-config budget");
+                 "Budget-truncated windows: restarting search at a "
+                 "fixed decision budget");
 
     struct BudgetCase
     {
@@ -349,10 +336,6 @@ reportPortfolioStudy()
         unsigned seed;
         std::uint64_t budget;
     };
-    // Budgets bracket the proving thresholds measured for the
-    // restarting base (config 0) vs the no-restart exhaustion config:
-    // the first three flip FEASIBLE -> OPTIMAL under the portfolio,
-    // the -wide case proves either way, w10-l6 proves neither way.
     const BudgetCase budget_cases[] = {
         {"budget-w8-l5", 8, 5, 2, 5, 1, 100000},
         {"budget-w9-l5", 9, 5, 2, 6, 7, 200000},
@@ -360,168 +343,44 @@ reportPortfolioStudy()
         {"budget-w8-l4-wide", 8, 4, 2, 6, 11, 200000},
         {"budget-w10-l6", 10, 6, 3, 8, 21, 100000},
     };
-    constexpr int kConfigs = 4;
-    const int hw_threads = std::max(
-        1u, std::thread::hardware_concurrency());
 
-    Table bt({"Instance", "Budget", "Single", "Portfolio", "Single obj",
-              "Portfolio obj", "Winner"});
-    int optimal_single = 0, optimal_portfolio = 0;
+    Table bt({"Instance", "Budget", "Status", "Objective", "Decisions"});
+    int optimal_single = 0;
     json << "    \"budget_instances\": [\n";
     for (std::size_t i = 0; i < std::size(budget_cases); ++i) {
         const auto &c = budget_cases[i];
         auto inst = opgWindowInstance(c.name, c.weights, c.layers,
                                       c.tw, c.cap, c.seed, c.budget);
-        SolverParams base;
-        base.timeLimitSeconds = 60.0;
-        base.maxDecisions = c.budget;
+        SolverParams sp;
+        sp.timeLimitSeconds = 60.0;
+        sp.maxDecisions = c.budget;
         // The Table-4 planner's budget-truncated window setup.
-        base.restartConflictBase = 1024;
+        sp.restartConflictBase = 1024;
 
-        auto r_single = CpSolver(base).solve(inst.model, &inst.hint);
-        auto r_port = solver::solvePortfolio(inst.model, base, kConfigs,
-                                             &inst.hint, hw_threads);
-
-        bool s_opt = r_single.status == solver::SolveStatus::Optimal;
-        bool p_opt =
-            r_port.result.status == solver::SolveStatus::Optimal;
-        optimal_single += s_opt ? 1 : 0;
-        optimal_portfolio += p_opt ? 1 : 0;
-        // The portfolio contains config 0 (= the single arm) at the
-        // same budget, so it can never do worse on either axis.
-        ok &= r_port.result.objective <= r_single.objective;
-        ok &= !s_opt || p_opt;
+        auto r = CpSolver(sp).solve(inst.model, &inst.hint);
+        ok &= r.feasible();
+        optimal_single += r.status == solver::SolveStatus::Optimal;
 
         bt.addRow({c.name, std::to_string(c.budget),
-                   solver::solveStatusName(r_single.status),
-                   solver::solveStatusName(r_port.result.status),
-                   std::to_string(r_single.objective),
-                   std::to_string(r_port.result.objective),
-                   // std::string("k") + ...: the const char* + rvalue
-                   // overload trips GCC 12's -Wrestrict false positive
-                   // (PR105651) under -O3.
-                   std::string("k") +
-                       std::to_string(r_port.winningConfig)});
+                   solver::solveStatusName(r.status),
+                   std::to_string(r.objective),
+                   std::to_string(r.decisions)});
         json << "      {\"name\": \"" << c.name
              << "\", \"budget\": " << c.budget
              << ", \"single_status\": \""
-             << solver::solveStatusName(r_single.status)
-             << "\", \"single_objective\": " << r_single.objective
-             << ", \"portfolio_status\": \""
-             << solver::solveStatusName(r_port.result.status)
-             << "\", \"portfolio_objective\": "
-             << r_port.result.objective
-             << ", \"winning_config\": " << r_port.winningConfig
+             << solver::solveStatusName(r.status)
+             << "\", \"single_objective\": " << r.objective
              << "}" << (i + 1 < std::size(budget_cases) ? "," : "")
              << "\n";
     }
     bt.print(std::cout);
 
-    ok &= optimal_portfolio > optimal_single;
-    std::cout << "\nWindows proven optimal: single " << optimal_single
-              << "/" << std::size(budget_cases) << ", portfolio "
-              << optimal_portfolio << "/" << std::size(budget_cases)
-              << " (portfolio strictly more: "
-              << (optimal_portfolio > optimal_single ? "PASS" : "FAIL")
-              << ")\n";
+    std::cout << "\nWindows proven optimal: " << optimal_single << "/"
+              << std::size(budget_cases) << " (deterministic; gated)\n";
     json << "    ],\n    \"optimal_windows_single\": " << optimal_single
-         << ",\n    \"optimal_windows_portfolio\": "
-         << optimal_portfolio << ",\n";
-
-    // --------------------------------------------------------------
-    // (c) Byte-determinism across pool sizes 1/2/8.
-    // --------------------------------------------------------------
-    const int pool_sizes[] = {1, 2, 8};
-    bool deterministic = true;
-    for (const auto &c :
-         {budget_cases[0], budget_cases[3], budget_cases[4]}) {
-        auto inst = opgWindowInstance(c.name, c.weights, c.layers,
-                                      c.tw, c.cap, c.seed, c.budget);
-        SolverParams base;
-        base.timeLimitSeconds = 60.0;
-        base.maxDecisions = c.budget;
-        base.restartConflictBase = 1024;
-        auto ref = solver::solvePortfolio(inst.model, base, kConfigs,
-                                          &inst.hint, pool_sizes[0]);
-        for (std::size_t t = 1; t < std::size(pool_sizes); ++t) {
-            auto r = solver::solvePortfolio(inst.model, base, kConfigs,
-                                            &inst.hint, pool_sizes[t]);
-            deterministic &= r.winningConfig == ref.winningConfig;
-            deterministic &= r.result.status == ref.result.status;
-            deterministic &= r.result.objective == ref.result.objective;
-            deterministic &= r.result.values == ref.result.values;
-        }
-    }
-    ok &= deterministic;
-    std::cout << "Merged result identical across pool sizes 1/2/8: "
-              << (deterministic ? "PASS" : "FAIL") << "\n";
-    json << "    \"pool_sizes_checked\": [1, 2, 8],\n"
-         << "    \"deterministic\": "
-         << (deterministic ? "true" : "false") << ",\n";
-
-    // --------------------------------------------------------------
-    // (d) Whole-plan wall time, Llama2-70B, single vs portfolio
-    //     (informational: wall depends on host core count).
-    // --------------------------------------------------------------
-    const auto &t4models = bench::table4ModelSet();
-    const auto &llama70b = t4models.back();
-    FM_ASSERT(llama70b.name == "Llama2-70B",
-              "table4ModelSet() order changed");
-    gpusim::KernelModel km(gpusim::DeviceProfile::onePlus12());
-    profiler::AnalyticCapacityProvider cap(km);
-
-    double plan_single_s = 0.0, plan_portfolio_s = 0.0;
-    std::uint64_t symmetry_rows = 0;
-    int plan_threads = 1;
-    for (int configs : {1, kConfigs}) {
-        core::OpgParams params;
-        params.solverDecisionsPerWindow = 20000;
-        params.restartConflictBase = 1024;
-        params.portfolioConfigs = configs;
-        core::PlanMemo memo(2048); // isolate from earlier sections
-        params.memo = &memo;
-        core::LcOpgPlanner planner(*llama70b.graph, cap, km, params);
-        core::PlanStats stats;
-        auto t0 = std::chrono::steady_clock::now();
-        auto plan = planner.plan(&stats);
-        double wall =
-            std::chrono::duration<double>(
-                std::chrono::steady_clock::now() - t0)
-                .count();
-        ok &= plan.validate(*llama70b.graph, false);
-        (configs == 1 ? plan_single_s : plan_portfolio_s) = wall;
-        symmetry_rows = stats.symmetryRows;
-        plan_threads = stats.threads;
-    }
-    std::cout << "Llama2-70B whole plan: single "
-              << formatDouble(plan_single_s, 2) << " s, portfolio (K="
-              << kConfigs << ") " << formatDouble(plan_portfolio_s, 2)
-              << " s on " << plan_threads << " thread(s); "
-              << symmetry_rows << " symmetry rows added by default\n";
-    json << "    \"llama70b_plan_single_s\": " << plan_single_s
-         << ",\n    \"llama70b_plan_portfolio_s\": " << plan_portfolio_s
-         << ",\n    \"llama70b_symmetry_rows\": " << symmetry_rows
-         << ",\n    \"portfolio_configs\": " << kConfigs
-         << ",\n    \"threads\": " << plan_threads << "\n  }";
+         << "\n  }";
 
     return {ok, json.str()};
-}
-
-/** `--portfolio-only PATH`: portfolio section alone, as a JSON
- *  fragment for tools/run_benchmarks.sh --only portfolio. */
-int
-runPortfolioOnly(const char *path)
-{
-    auto [ok, pjson] = reportPortfolioStudy();
-    std::ofstream out(path);
-    out << "{\n" << pjson << "\n}\n";
-    if (out.good()) {
-        std::cout << "\nwrote " << path << "\n";
-    } else {
-        std::cerr << "failed to write " << path << "\n";
-        ok = false;
-    }
-    return ok ? 0 : 1;
 }
 
 } // namespace
@@ -531,9 +390,6 @@ main(int argc, char **argv)
 {
     using namespace flashmem;
     using namespace flashmem::bench;
-
-    if (argc > 2 && std::strcmp(argv[1], "--portfolio-only") == 0)
-        return runPortfolioOnly(argv[2]);
 
     bool ok = true;
     std::ostringstream json;
@@ -865,10 +721,10 @@ main(int argc, char **argv)
     json << "  ],\n";
 
     // ------------------------------------------------------------------
-    // Part 5: inside-one-window portfolio search + symmetry breaking.
+    // Part 5: window search — symmetry breaking + budget instances.
     // ------------------------------------------------------------------
     {
-        auto [pok, pjson] = reportPortfolioStudy();
+        auto [pok, pjson] = reportSearchStudy();
         ok &= pok;
         json << pjson << ",\n";
     }

@@ -6,8 +6,10 @@
  *
  * Reproduction policy: the substrate is a simulator, not the authors'
  * phones, so harnesses check *shape* — orderings, unsupported/OOM
- * patterns, and rough factors — and print paper vs measured for
- * EXPERIMENTS.md. See DESIGN.md Section 6.
+ * patterns, and rough factors — and print paper vs measured side by
+ * side (the Table-7/8/9 benches' printout). The magnitude error
+ * against the paper is tracked by perfbench as `paper_error` and
+ * `baselines.log_error.<fw>` (see perfbench/README.md).
  */
 
 #ifndef FLASHMEM_BENCH_HARNESS_HH

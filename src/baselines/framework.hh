@@ -8,8 +8,11 @@
  * conversions (except SmartMem, which eliminates them), buffer-path
  * execution (ExecuTorch), and operator-support gaps (NCNN's missing
  * GPU LayerNorm). Trait values are calibrated so the published
- * qualitative ordering of Tables 1/7/8 reproduces; see EXPERIMENTS.md
- * for paper-vs-measured numbers.
+ * qualitative ordering of Tables 1/7/8 reproduces. Paper-vs-measured
+ * numbers are printed side by side by bench_table7_latency,
+ * bench_table8_memory and bench_table9_energy; perfbench reports the
+ * per-framework log-ratio error against Table 7 as
+ * `baselines.log_error.<fw>` and its aggregate as `paper_error`.
  */
 
 #ifndef FLASHMEM_BASELINES_FRAMEWORK_HH

@@ -373,44 +373,24 @@ LcOpgPlanner::buildWindowModel(const WindowInput &in, double relax,
 
 bool
 LcOpgPlanner::interpretRound(WindowSolveState &st,
-                             const solver::PortfolioResult &pr) const
+                             const solver::SolveResult &r) const
 {
     const WindowInput &in = *st.in;
     WindowResult &result = st.out.result;
-    const bool portfolio = params_.portfolioConfigs > 1;
-    const solver::SolveResult &r = pr.result;
 
     result.buildSeconds += st.rm.buildSeconds;
     result.lexRows += st.rm.lexRows;
     if (st.rm.memoHit)
         ++result.memoHits;
     result.solveSeconds += r.wallSeconds;
-    if (portfolio) {
-        // The raw totals below sum work across configurations, and a
-        // cancelled configuration stops at a timing-dependent point —
-        // so the summary counters (which feed solver_window trace
-        // events) take the winner's improvement snapshots instead:
-        // those freeze inside the winner's uninterfered prefix and
-        // are byte-deterministic for any pool size.
-        result.decisions += r.improveDecisions;
-        result.propagations += r.improvePropagations;
-        result.conflicts += r.improveBacktracks;
-        result.restarts += r.improveRestarts;
-    } else {
-        result.decisions += r.decisions;
-        result.propagations += r.propagations;
-        result.conflicts += r.backtracks;
-        result.restarts += r.restarts;
-    }
+    result.decisions += r.decisions;
+    result.propagations += r.propagations;
+    result.conflicts += r.backtracks;
+    result.restarts += r.restarts;
     result.status = r.status;
-    result.winningConfig = pr.winningConfig;
-    if (result.configConflicts.size() < pr.outcomes.size())
-        result.configConflicts.resize(pr.outcomes.size(), 0);
-    for (const auto &o : pr.outcomes)
-        result.configConflicts[o.config] += o.result.backtracks;
+    if (result.stopReason != solver::StopReason::TimeLimit)
+        result.stopReason = r.stopReason;
 
-    // The merged (winner's) incumbent seeds the memo, so warm starts
-    // inherit portfolio wins.
     if (params_.planMemo && r.feasible())
         st.out.memoStores.push_back(
             {st.rm.fingerprint, r.values, r.objective});
@@ -651,13 +631,11 @@ LcOpgPlanner::plan(PlanStats *stats)
     }
     local.stageSeconds = secondsSince(stage_t0);
 
-    // Phase 2 — solve: flattened (window x config) solve tasks run
-    // concurrently on one pool; the main thread drives each window's
-    // fallback-round state machine and consumes results in submission
-    // (window) order, so downstream phases never observe completion
-    // order. With portfolioConfigs > 1, each round races K solver
-    // configurations over the same model (solver/portfolio.hh); the
-    // merged result is byte-identical for any thread count.
+    // Phase 2 — solve: one solve task per (window, round) runs on a
+    // shared pool; the main thread builds each round's model, drives
+    // each window's fallback-round state machine and consumes results
+    // in submission (window) order, so downstream phases never observe
+    // completion order.
     const int threads =
         params_.parallel.threads > 0
             ? params_.parallel.threads
@@ -665,7 +643,6 @@ LcOpgPlanner::plan(PlanStats *stats)
     local.threads = threads;
     // FMLINT(allow:no-wall-clock) reported PlanStats timings only; plan content never reads the clock
     auto solve_t0 = std::chrono::steady_clock::now();
-    const int configs = std::max(1, params_.portfolioConfigs);
     std::vector<WindowOutput> outputs;
     outputs.reserve(inputs.size());
     {
@@ -678,17 +655,10 @@ LcOpgPlanner::plan(PlanStats *stats)
         sp.restartConflictBase = params_.restartConflictBase;
         auto submitRound = [&](WindowSolveState &st) {
             st.rm = buildWindowModel(*st.in, st.relax, st.forced);
-            // Fresh board per round: fallback rounds solve a different
-            // model, so a previous round's proven bound must not leak.
-            if (configs > 1)
-                st.board = std::make_unique<solver::PortfolioBoard>();
-            st.futures.clear();
-            for (int k = 0; k < configs; ++k) {
-                st.futures.push_back(pool.submit([&st, sp, k]() {
-                    return solver::solvePortfolioConfig(
-                        st.rm.model, sp, k, st.board.get(), &st.rm.hint);
-                }));
-            }
+            st.solve = pool.submit([&st, sp]() {
+                return solver::CpSolver(sp).solve(st.rm.model,
+                                                  &st.rm.hint);
+            });
         };
         for (std::size_t i = 0; i < inputs.size(); ++i) {
             WindowSolveState &st = states[i];
@@ -715,13 +685,7 @@ LcOpgPlanner::plan(PlanStats *stats)
         for (std::size_t i = 0; i < inputs.size(); ++i) {
             WindowSolveState &st = states[i];
             while (!st.done) {
-                std::vector<solver::PortfolioOutcome> outcomes;
-                outcomes.reserve(st.futures.size());
-                for (auto &f : st.futures)
-                    outcomes.push_back(f.get());
-                st.futures.clear();
-                if (interpretRound(
-                        st, solver::mergePortfolio(std::move(outcomes))))
+                if (interpretRound(st, st.solve.get()))
                     st.done = true;
                 else
                     submitRound(st);
@@ -754,8 +718,7 @@ LcOpgPlanner::plan(PlanStats *stats)
         s.propagations = wr.propagations;
         s.conflicts = wr.conflicts;
         s.restarts = wr.restarts;
-        s.winningConfig = wr.winningConfig;
-        s.configConflicts = wr.configConflicts;
+        s.stopReason = wr.stopReason;
         local.windowSummaries.push_back(std::move(s));
         ++local.windows;
         local.symmetryRows += wr.lexRows;
@@ -768,6 +731,8 @@ LcOpgPlanner::plan(PlanStats *stats)
         local.softRelaxations += wr.softRelaxations;
         local.forcedPreloads += wr.forcedPreloads;
         local.memoHits += wr.memoHits;
+        if (wr.stopReason == solver::StopReason::TimeLimit)
+            ++local.timeLimitedWindows;
         if (wr.usedGreedy) {
             ++local.greedyWindows;
         } else if (wr.status == solver::SolveStatus::Optimal) {

@@ -36,13 +36,11 @@
 
 #include <cstdint>
 #include <future>
-#include <memory>
 #include <vector>
 
 #include "core/overlap_plan.hh"
 #include "gpusim/kernel.hh"
 #include "profiler/capacity.hh"
-#include "solver/portfolio.hh"
 #include "solver/solver.hh"
 
 namespace flashmem::core {
@@ -131,20 +129,6 @@ struct OpgParams
      */
     std::uint64_t restartConflictBase = 0;
     /**
-     * Deterministic portfolio width for window solves: K solver
-     * configurations (distinct variable orders, restart schedules,
-     * value-ordering polarities) race each window model on the shared
-     * thread pool, first achiever of the proven optimum wins under a
-     * lowest-config-index tie-break, and losers are cancelled through
-     * a monotone bound-sharing board (solver/portfolio.hh). 1 = off
-     * (plain single-configuration solves, the historical behavior).
-     * Plans stay byte-identical for any thread count and any pool
-     * size; raising K multiplies worst-case CPU per truncated window
-     * by K in exchange for more windows proved optimal inside the
-     * unchanged per-configuration decision budget.
-     */
-    int portfolioConfigs = 1;
-    /**
      * Detect interchangeable same-consumer weight blocks (equal T(w),
      * equal candidate layers) at model-build time and add lex-ordering
      * rows so the solver stops exploring permuted duplicates of the
@@ -176,22 +160,12 @@ struct PlanStats
         std::uint64_t conflicts = 0; ///< search backtracks
         std::uint64_t restarts = 0;
         /**
-         * Portfolio configuration that produced the committed window
-         * solution (final fallback round); 0 when the portfolio is
-         * off. Deterministic for any thread count / pool size.
+         * TimeLimit when any fallback round stopped on the wall-clock
+         * backstop (the window's plan then depends on host speed);
+         * otherwise the final round's reason. Exhausted for windows
+         * that never ran the solver.
          */
-        int winningConfig = 0;
-        /**
-         * Raw search backtracks per portfolio configuration, merged
-         * in submission (configuration) order and summed across
-         * fallback rounds; empty when the window never ran the
-         * solver. Diagnostic only: cancelled configurations stop at a
-         * timing-dependent point, so these counts may vary run to run
-         * — which is exactly what makes them useful for triaging a
-         * portfolio divergence (the deterministic fields above come
-         * from the winner's improvement snapshots and do not vary).
-         */
-        std::vector<std::uint64_t> configConflicts;
+        solver::StopReason stopReason = solver::StopReason::Exhausted;
     };
 
     double processNodesSeconds = 0.0;   ///< graph analysis + capacities
@@ -209,6 +183,9 @@ struct PlanStats
     int softRelaxations = 0;            ///< C4 tier-1 events
     int forcedPreloads = 0;             ///< C4 tier-2 events
     int greedyWindows = 0;              ///< C4 tier-3 events
+    /** Windows whose search stopped on the wall-clock backstop
+     * (OpgParams::solverTimePerWindow) in any fallback round. */
+    int timeLimitedWindows = 0;
     int threads = 1;                    ///< worker threads used to solve
     /** @name Merge-time re-balancing (second merge pass). @{ */
     std::int64_t rebalancedChunks = 0;  ///< chunks moved W -> streamed
@@ -274,11 +251,9 @@ class LcOpgPlanner
         double buildSeconds = 0.0;
         double solveSeconds = 0.0;
         std::uint64_t memoHits = 0;
-        int winningConfig = 0;  ///< final round's portfolio winner
+        /** See PlanStats::WindowSolveSummary::stopReason. */
+        solver::StopReason stopReason = solver::StopReason::Exhausted;
         int lexRows = 0;        ///< symmetry-breaking rows added
-        /** Raw per-configuration backtracks (diagnostic; see
-         * PlanStats::WindowSolveSummary::configConflicts). */
-        std::vector<std::uint64_t> configConflicts;
     };
 
     /**
@@ -353,8 +328,8 @@ class LcOpgPlanner
      * the window model (C0-C3), symmetry-breaking lex rows over
      * verified-interchangeable weight blocks, and the canonicalized
      * warm-start hint (greedy, or a validated PlanMemo incumbent).
-     * Once built it is immutable, so the portfolio's configurations
-     * can race it concurrently.
+     * Once built it is immutable, so a pool task can solve it while
+     * the driver thread builds the next window's model.
      */
     struct RoundModel
     {
@@ -371,10 +346,10 @@ class LcOpgPlanner
 
     /**
      * Per-window driver state for the flattened solve phase: plan()
-     * submits one task per (window, round, configuration) to the
-     * shared pool and interprets merged round results in window
-     * order, so the C4 fallback tiers (relax/forced) advance exactly
-     * as they did when each window ran its rounds inside one task.
+     * submits one task per (window, round) to the shared pool and
+     * interprets round results in window order, so the C4 fallback
+     * tiers (relax/forced) advance exactly as they did when each
+     * window ran its rounds inside one task.
      */
     struct WindowSolveState
     {
@@ -385,8 +360,7 @@ class LcOpgPlanner
         double relax = 1.0;
         std::vector<bool> forced;
         RoundModel rm;
-        std::unique_ptr<solver::PortfolioBoard> board;
-        std::vector<std::future<solver::PortfolioOutcome>> futures;
+        std::future<solver::SolveResult> solve;
         WindowOutput out;
     };
 
@@ -395,14 +369,13 @@ class LcOpgPlanner
                                 const std::vector<bool> &forced) const;
 
     /**
-     * Fold one merged round result into @p st: accumulate stats
-     * (winner-snapshot counters when the portfolio is on, so traces
-     * and summaries stay deterministic), extract the solution or
-     * advance the C4 tier state. @return true when the window is done
-     * (solution extracted or demoted to the greedy backup).
+     * Fold one round's solve result into @p st: accumulate stats,
+     * extract the solution or advance the C4 tier state. @return true
+     * when the window is done (solution extracted or demoted to the
+     * greedy backup).
      */
     bool interpretRound(WindowSolveState &st,
-                        const solver::PortfolioResult &pr) const;
+                        const solver::SolveResult &r) const;
 
     /** Fill @p out from the staged greedy solution (tier 3). */
     void applyGreedy(const WindowInput &in, WindowOutput &out) const;

@@ -380,8 +380,7 @@ EventScheduler::run(const std::vector<ModelRequest> &queue,
                                 w.status ==
                                     solver::SolveStatus::Optimal
                             ? 1
-                            : 0,
-                        static_cast<std::int32_t>(w.winningConfig));
+                            : 0);
             }
             core::RunResult r;
             if (!cluster.overlap() && !faulty) {

@@ -5,8 +5,6 @@
 #include <limits>
 
 #include "common/logging.hh"
-#include "common/rng.hh"
-#include "solver/portfolio.hh"
 #include "solver/trail.hh"
 
 namespace flashmem::solver {
@@ -122,14 +120,6 @@ struct TrailSearch
     };
     struct HeapWorse
     {
-        /**
-         * Final tie-break key per variable: the identity when
-         * orderSeed == 0 (preserving the historical smallest-id-first
-         * order byte for byte), a seeded permutation otherwise — the
-         * portfolio's search-order diversity axis.
-         */
-        const std::int32_t *orderKey = nullptr;
-
         bool
         operator()(const HeapEntry &a, const HeapEntry &b) const
         {
@@ -137,11 +127,10 @@ struct TrailSearch
                 return a.size > b.size; // smallest domain first
             if (a.activity != b.activity)
                 return a.activity < b.activity; // then most active
-            return orderKey[a.var] > orderKey[b.var];
+            return a.var > b.var; // then smallest id
         }
     };
     std::vector<HeapEntry> heap;
-    std::vector<std::int32_t> orderKey;
     std::vector<double> activity;
     double activityInc = 1.0;
     // Deferred heap maintenance: changed variables are only marked
@@ -160,45 +149,28 @@ struct TrailSearch
     std::uint64_t conflictLimit = 0; ///< next restart point (conflicts)
     std::uint64_t restarts = 0;
     bool restartPending = false;
-    bool limitHit = false;
-    bool cancelled = false;
-    // Snapshots at the last incumbent improvement (see SolveResult).
-    std::uint64_t improveDecisions = 0;
-    std::uint64_t improvePropagations = 0;
-    std::uint64_t improveBacktracks = 0;
-    std::uint64_t improveRestarts = 0;
+    StopReason stop = StopReason::Exhausted;
     // FMLINT(allow:no-wall-clock) wall-clock time budget; Table-4 determinism runs bound by conflicts/decisions, not time
     std::chrono::steady_clock::time_point deadline;
 
+    /**
+     * Limit poll: records the first limit reached and reports whether
+     * the search must unwind. The decision budget is checked first, so
+     * a search that reaches both limits at once reports the
+     * deterministic one; the clock is read sparingly.
+     */
     bool
     timeUp()
     {
-        // Check the clock (and the portfolio board) sparingly;
-        // decisions dominate runtime.
-        if ((decisions & 0x3F) == 0) {
-            // FMLINT(allow:no-wall-clock) wall-clock time budget; Table-4 determinism runs bound by conflicts/decisions, not time
-            if (std::chrono::steady_clock::now() >= deadline)
-                limitHit = true;
-            if (params.board && !cancelled) {
-                // Cancellation-only bound sharing: stop when a
-                // lower-indexed configuration achieved the proven
-                // optimum, or self-stop once our own incumbent
-                // matches it (further search cannot improve it).
-                std::int64_t proven = 0;
-                if (params.board->cancelled(params.portfolioIndex)) {
-                    cancelled = true;
-                    limitHit = true;
-                } else if (params.board->provenObjective(&proven) &&
-                           haveIncumbent && bestObjective <= proven) {
-                    params.board->noteAchieved(params.portfolioIndex);
-                    cancelled = true;
-                    limitHit = true;
-                }
-            }
-        }
+        if (stop != StopReason::Exhausted)
+            return true;
         if (params.maxDecisions && decisions >= params.maxDecisions)
-            limitHit = true;
-        return limitHit;
+            stop = StopReason::DecisionLimit;
+        else if ((decisions & 0x3F) == 0 &&
+                 // FMLINT(allow:no-wall-clock) wall-clock time budget; Table-4 determinism runs bound by conflicts/decisions, not time
+                 std::chrono::steady_clock::now() >= deadline)
+            stop = StopReason::TimeLimit;
+        return stop != StopReason::Exhausted;
     }
 
     /** Conflict bookkeeping shared by propagation and branching. */
@@ -252,21 +224,6 @@ struct TrailSearch
         }
         dom.trackSums(&conSums);
 
-        orderKey.resize(n);
-        for (VarId v = 0; v < static_cast<VarId>(n); ++v)
-            orderKey[v] = v;
-        if (params.orderSeed) {
-            // Seeded Fisher-Yates over the tie-break ranks; the
-            // permutation is a pure function of the seed, so every
-            // configuration's search order is reproducible.
-            Rng rng(params.orderSeed);
-            for (std::size_t i = n; i > 1; --i) {
-                const auto j = static_cast<std::size_t>(rng.uniformInt(
-                    0, static_cast<std::int64_t>(i) - 1));
-                std::swap(orderKey[i - 1], orderKey[j]);
-            }
-        }
-
         activity.assign(n, 0.0);
         varDirty.assign(n, 0);
         dirtyVars.clear();
@@ -292,7 +249,7 @@ struct TrailSearch
     {
         heap.push_back({dom.domainSize(v), activity[v], v});
         std::push_heap(heap.begin(), heap.end(),
-                       HeapWorse{orderKey.data()});
+                       HeapWorse{});
     }
 
     /** Mark @p v for a heap refresh at the next selection point. */
@@ -325,7 +282,7 @@ struct TrailSearch
         while (!heap.empty()) {
             HeapEntry e = heap.front();
             std::pop_heap(heap.begin(), heap.end(),
-                          HeapWorse{orderKey.data()});
+                          HeapWorse{});
             heap.pop_back();
             // Valid only if it still describes the live domain.
             if (e.size > 0 && dom.domainSize(e.var) == e.size)
@@ -347,7 +304,7 @@ struct TrailSearch
                 heap.push_back({dom.domainSize(v), activity[v], v});
         }
         std::make_heap(heap.begin(), heap.end(),
-                       HeapWorse{orderKey.data()});
+                       HeapWorse{});
     }
 
     void
@@ -609,10 +566,6 @@ struct TrailSearch
             haveIncumbent = true;
             bestObjective = objMin;
             best = dom.lbs();
-            improveDecisions = decisions;
-            improvePropagations = propagations;
-            improveBacktracks = backtracks;
-            improveRestarts = restarts;
         }
     }
 
@@ -651,9 +604,9 @@ struct TrailSearch
         const std::int64_t saved_lb = dom.lb(v);
         const std::int64_t saved_ub = dom.ub(v);
         const bool low_first =
-            ((params.restartConflictBase && haveIncumbent)
-                 ? best[v] <= saved_lb
-                 : objCoef[v] >= 0) != params.invertValueOrder;
+            (params.restartConflictBase && haveIncumbent)
+                ? best[v] <= saved_lb
+                : objCoef[v] >= 0;
         const std::size_t node_mark = dom.mark();
 
         for (int side = 0; side < 2; ++side) {
@@ -700,7 +653,7 @@ struct TrailSearch
             restartPending = false;
             if (search())
                 return true; // exhausted (or satisfied)
-            if (limitHit)
+            if (stop != StopReason::Exhausted)
                 return false;
             // Restart: the unwind already rewound to the root state;
             // re-descend with the saved solution phase.
@@ -730,28 +683,23 @@ struct BaselineState
     std::uint64_t propagations = 0;
     std::uint64_t backtracks = 0;
     std::uint64_t restarts = 0; ///< always 0: no restarts in the seed DFS
-    bool limitHit = false;
-    bool cancelled = false; ///< always false: the board is Trail-only
-    // Snapshots at the last incumbent improvement (see SolveResult).
-    std::uint64_t improveDecisions = 0;
-    std::uint64_t improvePropagations = 0;
-    std::uint64_t improveBacktracks = 0;
-    std::uint64_t improveRestarts = 0;
+    StopReason stop = StopReason::Exhausted;
     // FMLINT(allow:no-wall-clock) wall-clock time budget; Table-4 determinism runs bound by conflicts/decisions, not time
     std::chrono::steady_clock::time_point deadline;
 
+    /** Limit poll, as in TrailSearch::timeUp(). */
     bool
     timeUp()
     {
-        // Check the clock sparingly; decisions dominate runtime.
-        if ((decisions & 0x3F) == 0 &&
-            // FMLINT(allow:no-wall-clock) wall-clock time budget; Table-4 determinism runs bound by conflicts/decisions, not time
-            std::chrono::steady_clock::now() >= deadline) {
-            limitHit = true;
-        }
+        if (stop != StopReason::Exhausted)
+            return true;
         if (params.maxDecisions && decisions >= params.maxDecisions)
-            limitHit = true;
-        return limitHit;
+            stop = StopReason::DecisionLimit;
+        else if ((decisions & 0x3F) == 0 &&
+                 // FMLINT(allow:no-wall-clock) wall-clock time budget; Table-4 determinism runs bound by conflicts/decisions, not time
+                 std::chrono::steady_clock::now() >= deadline)
+            stop = StopReason::TimeLimit;
+        return stop != StopReason::Exhausted;
     }
 
     /** Uniform entry point with TrailSearch (no restart schedule). */
@@ -894,10 +842,6 @@ struct BaselineState
             haveIncumbent = true;
             bestObjective = obj;
             best = lb;
-            improveDecisions = decisions;
-            improvePropagations = propagations;
-            improveBacktracks = backtracks;
-            improveRestarts = restarts;
         }
     }
 
@@ -931,7 +875,6 @@ struct BaselineState
                 break;
             }
         }
-        low_first = low_first != params.invertValueOrder;
 
         auto saved_lb = lb;
         auto saved_ub = ub;
@@ -1021,11 +964,7 @@ CpSolver::solve(const CpModel &model,
         result.propagations = st.propagations;
         result.backtracks = st.backtracks;
         result.restarts = st.restarts;
-        result.cancelled = st.cancelled;
-        result.improveDecisions = st.improveDecisions;
-        result.improvePropagations = st.improvePropagations;
-        result.improveBacktracks = st.improveBacktracks;
-        result.improveRestarts = st.improveRestarts;
+        result.stopReason = st.stop;
         haveIncumbent = st.haveIncumbent;
         best = std::move(st.best);
         bestObjective = st.bestObjective;

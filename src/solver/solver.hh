@@ -33,13 +33,19 @@
 
 namespace flashmem::solver {
 
-class PortfolioBoard; // solver/portfolio.hh
-
 /** Terminal state of one solve() call. */
 enum class SolveStatus { Optimal, Feasible, Infeasible, Unknown };
 
 /** Human-readable status name ("OPTIMAL", "FEASIBLE", ...). */
 const char *solveStatusName(SolveStatus status);
+
+/**
+ * Why solve() stopped searching. Exhausted means the search space was
+ * covered (the status is then Optimal or Infeasible); the two limits
+ * leave a budget-truncated Feasible or Unknown result. DecisionLimit
+ * is deterministic; TimeLimit depends on host speed and load.
+ */
+enum class StopReason { Exhausted, DecisionLimit, TimeLimit };
 
 /** Which search kernel solve() runs (see file comment). */
 enum class SearchEngine { Trail, Baseline };
@@ -72,26 +78,6 @@ struct SolverParams
      * on for budget-truncated (FEASIBLE) window solves.
      */
     std::uint64_t restartConflictBase = 0;
-    /**
-     * @name Deterministic portfolio hooks (solver/portfolio.hh).
-     *
-     * orderSeed != 0 replaces the first-fail heap's final var-id
-     * tie-break with a seeded permutation of the variable ids (Trail
-     * only) — search order diversity without touching the heuristics.
-     * invertValueOrder flips the branching polarity (low-first <->
-     * high-first, including the saved solution phase under restarts).
-     * board/portfolioIndex attach this solve to a cancellation board:
-     * the search stops early when a lower-indexed configuration has
-     * achieved the proven optimum (Trail only; Baseline ignores the
-     * board). The board never injects bounds, so an attached run is
-     * always a prefix of the detached one.
-     * @{
-     */
-    std::uint64_t orderSeed = 0;
-    bool invertValueOrder = false;
-    PortfolioBoard *board = nullptr; ///< non-owning; null = detached
-    int portfolioIndex = 0;
-    /** @} */
 };
 
 /** Result of a solve: status, assignment, objective, search stats. */
@@ -107,24 +93,7 @@ struct SolveResult
     /** Luby restarts taken (Trail with restartConflictBase > 0). */
     std::uint64_t restarts = 0;
     double wallSeconds = 0.0;
-    /** Stopped early by the portfolio cancellation board. */
-    bool cancelled = false;
-    /**
-     * @name Counters snapshotted at the last incumbent improvement.
-     *
-     * Unlike the raw totals above (which, under portfolio
-     * cancellation, depend on when the stop lands), these freeze at
-     * the moment the final incumbent was found — inside the
-     * uninterfered prefix of the search — so the winning
-     * configuration's snapshots are byte-deterministic for any thread
-     * count. All zero when the warm-start hint was never improved.
-     * @{
-     */
-    std::uint64_t improveDecisions = 0;
-    std::uint64_t improvePropagations = 0;
-    std::uint64_t improveBacktracks = 0;
-    std::uint64_t improveRestarts = 0;
-    /** @} */
+    StopReason stopReason = StopReason::Exhausted;
 
     bool
     feasible() const

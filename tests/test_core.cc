@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <set>
 #include <thread>
 
@@ -603,6 +604,66 @@ TEST(LcOpg, ReplanMatchesFreshPlannerAtThatBudget)
     EXPECT_EQ(restored.serialize(), first.serialize());
 }
 
+// ------------------------------------- Default planner golden values
+
+namespace {
+
+/** FNV-1a over serialized plan bytes (a stable, dependency-free hash). */
+std::uint64_t
+fnv1a(const std::string &bytes)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (unsigned char c : bytes) {
+        h ^= c;
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
+} // namespace
+
+TEST(LcOpg, DefaultPlannerMatchesGoldenPlansAndCounters)
+{
+    // Plan bytes and raw solver counters of the default planner path,
+    // pinned. The counters follow the exact window search trajectory,
+    // so any change to variable selection, value ordering, restarts or
+    // limit polling moves at least one of them even where the plan
+    // does not. A change that means to move them re-pins the values
+    // here and says why.
+    struct Golden
+    {
+        const char *name;
+        std::uint64_t planHash, decisions, conflicts, propagations;
+    };
+    const Golden golden[] = {
+        {"toy3", 16666781321811661279ull, 2810u, 1406u, 26972u},
+        {"GPTN-S", 6859713238393945246ull, 141154u, 70523u,
+         1490142u},
+    };
+
+    KernelModel km(DeviceProfile::onePlus12());
+    profiler::AnalyticCapacityProvider cap(km);
+    const graph::Graph graphs[] = {
+        toyGraph(3), models::buildModel(models::ModelId::GPTNeoS)};
+    for (std::size_t i = 0; i < std::size(graphs); ++i) {
+        for (int threads : {1, 4}) {
+            PlanMemo memo(1024); // cold: no warm starts from elsewhere
+            OpgParams params;
+            params.memo = &memo;
+            params.parallel.threads = threads;
+            LcOpgPlanner planner(graphs[i], cap, km, params);
+            PlanStats stats;
+            const auto bytes = planner.plan(&stats).serialize();
+            SCOPED_TRACE(std::string(golden[i].name) +
+                         " threads=" + std::to_string(threads));
+            EXPECT_EQ(fnv1a(bytes), golden[i].planHash);
+            EXPECT_EQ(stats.solverDecisions, golden[i].decisions);
+            EXPECT_EQ(stats.solverConflicts, golden[i].conflicts);
+            EXPECT_EQ(stats.solverPropagations, golden[i].propagations);
+        }
+    }
+}
+
 // ------------------------------------------------ PlanMemo persistence
 
 namespace {
@@ -852,6 +913,42 @@ TEST(LcOpg, FileBackedMemoWarmStartsAcrossLaunches)
     ASSERT_EQ(first.overallStatus, solver::SolveStatus::Optimal);
     EXPECT_EQ(first_plan, second_plan);
     std::remove(path.c_str());
+}
+
+TEST(LcOpg, MemoBytesIndependentOfThreadCount)
+{
+    // Window models are built on the driver thread, so memo lookups
+    // (each bumps the entry's recency stamp) happen in window order
+    // whatever the pool size. A plan followed by a replan ladder must
+    // therefore leave byte-identical memo files at any thread count.
+    auto g = toyGraph(3);
+    KernelModel km(DeviceProfile::onePlus12());
+    profiler::AnalyticCapacityProvider cap(km);
+
+    std::string ref;
+    for (int threads : {1, 4}) {
+        PlanMemo memo(1024);
+        OpgParams params;
+        params.memo = &memo;
+        params.parallel.threads = threads;
+        LcOpgPlanner planner(g, cap, km, params);
+        planner.plan();
+        for (Bytes budget : {params.mPeak / 2, params.mPeak / 4,
+                             params.mPeak / 10})
+            planner.replan(budget);
+
+        const auto path =
+            tempMemoPath(("threads" + std::to_string(threads)).c_str());
+        ASSERT_TRUE(memo.saveToFile(path));
+        std::ifstream in(path, std::ios::binary);
+        const std::string bytes((std::istreambuf_iterator<char>(in)),
+                                std::istreambuf_iterator<char>());
+        std::remove(path.c_str());
+        ASSERT_FALSE(bytes.empty());
+        if (ref.empty())
+            ref = bytes;
+        EXPECT_EQ(bytes, ref) << "threads=" << threads;
+    }
 }
 
 TEST(PlanMemo, ConcurrentHammer)
@@ -1289,6 +1386,28 @@ TEST(FlashMemFacade, RecompilationReusesPlanMemo)
     // byte-identical — but every compile must stay valid.
     EXPECT_TRUE(first.plan.validate(first.fusedGraph, false));
     EXPECT_TRUE(second.plan.validate(second.fusedGraph, false));
+}
+
+TEST(FlashMemFacade, DefaultCompilesNeverStopOnTheClock)
+{
+    // The per-window wall-clock limit (OpgParams::solverTimePerWindow)
+    // is a backstop only: under default options every window ends on
+    // its decision budget or by exhaustion, so plan content does not
+    // depend on host speed or load.
+    for (auto id : {models::ModelId::GPTNeoS, models::ModelId::ViT,
+                    models::ModelId::DepthAnythingL}) {
+        const auto g = models::buildModel(id);
+        for (int threads : {1, 4}) {
+            PlanMemo::global().clear();
+            FlashMemOptions opt;
+            opt.opg.parallel.threads = threads;
+            core::FlashMem fm(DeviceProfile::onePlus12(), opt);
+            const auto compiled = fm.compile(g);
+            EXPECT_EQ(compiled.stats.timeLimitedWindows, 0)
+                << models::modelSpec(id).abbr << " threads=" << threads;
+        }
+    }
+    PlanMemo::global().clear();
 }
 
 TEST(FlashMemFacade, RunsGpt27BWithinOnePlus12Budget)

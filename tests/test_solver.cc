@@ -75,6 +75,7 @@ TEST(CpSolver, MinimizesLinearObjective)
     EXPECT_EQ(r.value(x), 0);
     EXPECT_EQ(r.value(y), 6);
     EXPECT_EQ(r.objective, 6);
+    EXPECT_EQ(r.stopReason, StopReason::Exhausted);
 }
 
 TEST(CpSolver, SolvesKnapsackOptimally)
@@ -194,6 +195,7 @@ TEST(CpSolver, DecisionLimitYieldsFeasibleOrUnknown)
     auto r = CpSolver(params).solve(m);
     EXPECT_TRUE(r.status == SolveStatus::Feasible ||
                 r.status == SolveStatus::Unknown);
+    EXPECT_EQ(r.stopReason, StopReason::DecisionLimit);
 }
 
 TEST(CpSolver, TimeLimitRespected)
@@ -221,7 +223,9 @@ TEST(CpSolver, TimeLimitRespected)
                                       t0)
             .count();
     EXPECT_LT(elapsed, 1.0); // well within a second despite hardness
-    (void)r;
+    EXPECT_EQ(r.stopReason, StopReason::TimeLimit);
+    EXPECT_TRUE(r.status == SolveStatus::Feasible ||
+                r.status == SolveStatus::Unknown);
 }
 
 // Randomized equivalence vs brute-force enumeration: statuses agree and

@@ -1,10 +1,8 @@
 /**
  * @file
- * Tests for the inside-one-window parallelism layer: symmetry
- * detection/breaking (solver/symmetry.hh) and the deterministic
- * portfolio race (solver/portfolio.hh), plus their integration into
- * LC-OPG planning (byte-identical plans for any pool size, winning
- * configuration ids in the window summaries).
+ * Tests for symmetry detection and breaking (solver/symmetry.hh) and
+ * its integration into LC-OPG planning: lex rows keep the optimum,
+ * cut conflicts, and leave transformer plans byte-identical.
  */
 
 #include <gtest/gtest.h>
@@ -15,7 +13,6 @@
 #include "core/lc_opg.hh"
 #include "graph/builder.hh"
 #include "solver/model.hh"
-#include "solver/portfolio.hh"
 #include "solver/solver.hh"
 #include "solver/symmetry.hh"
 
@@ -194,137 +191,6 @@ TEST(SymmetryTest, CanonicalizedHintSatisfiesLexRows)
     EXPECT_TRUE(f.model.satisfiedBy(hint));
 }
 
-// -------------------------------------------------- portfolio configs
-
-TEST(PortfolioTest, ConfigZeroIsTheBaseVerbatim)
-{
-    SolverParams base;
-    base.restartConflictBase = 128;
-    auto p0 = portfolioConfig(base, 0, nullptr);
-    EXPECT_EQ(p0.orderSeed, 0u);
-    EXPECT_FALSE(p0.invertValueOrder);
-    EXPECT_EQ(p0.restartConflictBase, 128u);
-}
-
-TEST(PortfolioTest, ConfigsAreDiverseAndDeterministic)
-{
-    SolverParams base;
-    base.restartConflictBase = 128;
-    auto p1 = portfolioConfig(base, 1, nullptr);
-    auto p2 = portfolioConfig(base, 2, nullptr);
-    auto p3 = portfolioConfig(base, 3, nullptr);
-    EXPECT_NE(p1.orderSeed, 0u);
-    EXPECT_NE(p1.orderSeed, p2.orderSeed);
-    EXPECT_TRUE(p1.invertValueOrder);
-    EXPECT_FALSE(p2.invertValueOrder);
-    EXPECT_EQ(p2.restartConflictBase, 256u);
-    // Config 3 is the dedicated exhaustion-proof attempt.
-    EXPECT_EQ(p3.restartConflictBase, 0u);
-    // Same index, same derivation — twice.
-    auto again = portfolioConfig(base, 2, nullptr);
-    EXPECT_EQ(again.orderSeed, p2.orderSeed);
-}
-
-TEST(PortfolioTest, BoardProtocol)
-{
-    PortfolioBoard board;
-    std::int64_t obj = 0;
-    EXPECT_FALSE(board.provenObjective(&obj));
-    EXPECT_FALSE(board.cancelled(0));
-    EXPECT_FALSE(board.cancelled(3));
-
-    board.publishProven(2, 41);
-    ASSERT_TRUE(board.provenObjective(&obj));
-    EXPECT_EQ(obj, 41);
-    // Lower-indexed configs keep running; higher-indexed ones stop.
-    EXPECT_FALSE(board.cancelled(0));
-    EXPECT_FALSE(board.cancelled(2));
-    EXPECT_TRUE(board.cancelled(3));
-
-    // A lower config achieving B* takes over the cutoff.
-    board.noteAchieved(1);
-    EXPECT_FALSE(board.cancelled(1));
-    EXPECT_TRUE(board.cancelled(2));
-}
-
-// ----------------------------------------------------- portfolio race
-
-TEST(PortfolioTest, SingleConfigMatchesPlainSolver)
-{
-    auto w = symmetricWindow(4, 3, 2, 3);
-    SolverParams sp;
-    auto plain = CpSolver(sp).solve(w.model);
-    auto pr = solvePortfolio(w.model, sp, 1, nullptr, 4);
-    EXPECT_EQ(pr.winningConfig, 0);
-    EXPECT_EQ(pr.result.status, plain.status);
-    EXPECT_EQ(pr.result.objective, plain.objective);
-    EXPECT_EQ(pr.result.values, plain.values);
-    EXPECT_EQ(pr.result.decisions, plain.decisions);
-}
-
-TEST(PortfolioTest, RaceIsThreadCountInvariant)
-{
-    auto w = symmetricWindow(5, 3, 2, 3);
-    SolverParams sp;
-    sp.restartConflictBase = 64;
-
-    PortfolioResult ref;
-    bool have_ref = false;
-    for (int threads : {1, 2, 8}) {
-        auto pr = solvePortfolio(w.model, sp, 4, nullptr, threads);
-        ASSERT_TRUE(pr.result.feasible()) << "threads=" << threads;
-        if (!have_ref) {
-            ref = pr;
-            have_ref = true;
-            continue;
-        }
-        EXPECT_EQ(pr.winningConfig, ref.winningConfig)
-            << "threads=" << threads;
-        EXPECT_EQ(pr.result.status, ref.result.status)
-            << "threads=" << threads;
-        EXPECT_EQ(pr.result.objective, ref.result.objective)
-            << "threads=" << threads;
-        EXPECT_EQ(pr.result.values, ref.result.values)
-            << "threads=" << threads;
-        // Improvement snapshots are part of the deterministic
-        // contract (they feed the window summaries and traces).
-        EXPECT_EQ(pr.result.improveDecisions,
-                  ref.result.improveDecisions)
-            << "threads=" << threads;
-        EXPECT_EQ(pr.result.improveBacktracks,
-                  ref.result.improveBacktracks)
-            << "threads=" << threads;
-    }
-}
-
-TEST(PortfolioTest, CancellationCutsLosersWithoutChangingResult)
-{
-    // Sequential race: config 0 proves the optimum first, so every
-    // later configuration must be cut off by the board — and the
-    // merged result must still be exactly config 0's proof.
-    auto w = symmetricWindow(5, 3, 2, 3);
-    SolverParams sp;
-    auto plain = CpSolver(sp).solve(w.model);
-    ASSERT_EQ(plain.status, SolveStatus::Optimal);
-
-    auto pr = solvePortfolio(w.model, sp, 4, nullptr, 1);
-    EXPECT_EQ(pr.result.status, SolveStatus::Optimal);
-    EXPECT_EQ(pr.winningConfig, 0);
-    EXPECT_EQ(pr.result.objective, plain.objective);
-    EXPECT_EQ(pr.result.values, plain.values);
-
-    ASSERT_EQ(pr.outcomes.size(), 4u);
-    EXPECT_FALSE(pr.outcomes[0].result.cancelled);
-    for (std::size_t k = 1; k < pr.outcomes.size(); ++k) {
-        const auto &o = pr.outcomes[k].result;
-        EXPECT_TRUE(o.cancelled) << "config " << k;
-        // The loser was cut off long before replaying the winner's
-        // whole search.
-        EXPECT_LT(o.decisions, pr.outcomes[0].result.decisions)
-            << "config " << k;
-    }
-}
-
 } // namespace
 } // namespace flashmem::solver
 
@@ -337,10 +203,10 @@ using gpusim::DeviceProfile;
 using gpusim::KernelModel;
 
 graph::Graph
-smallGraph(int blocks = 3, std::int64_t d = 256,
+smallGraph(int blocks, std::int64_t d = 256,
            std::int64_t tokens = 64)
 {
-    graph::GraphBuilder b("portfolio-toy", Precision::FP16);
+    graph::GraphBuilder b("symmetry-toy", Precision::FP16);
     auto x = b.input({tokens, d});
     for (int i = 0; i < blocks; ++i) {
         std::string p = "blk" + std::to_string(i);
@@ -353,77 +219,7 @@ smallGraph(int blocks = 3, std::int64_t d = 256,
     return b.build();
 }
 
-TEST(PortfolioTest, LcOpgPlansByteIdenticalAcrossPoolSizes)
-{
-    auto g = smallGraph(3);
-    KernelModel km(DeviceProfile::onePlus12());
-    profiler::AnalyticCapacityProvider cap(km);
-
-    std::string ref;
-    std::uint64_t ref_decisions = 0;
-    std::vector<int> ref_winners;
-    for (int threads : {1, 2, 8}) {
-        PlanMemo::global().clear();
-        OpgParams params;
-        params.parallel.threads = threads;
-        params.portfolioConfigs = 3;
-        LcOpgPlanner planner(g, cap, km, params);
-        PlanStats stats;
-        auto s = planner.plan(&stats).serialize();
-
-        std::vector<int> winners;
-        for (const auto &ws : stats.windowSummaries) {
-            winners.push_back(ws.winningConfig);
-            if (!ws.usedGreedy) {
-                EXPECT_EQ(ws.configConflicts.size(), 3u);
-            }
-        }
-        if (ref.empty()) {
-            ref = s;
-            ref_decisions = stats.solverDecisions;
-            ref_winners = winners;
-            continue;
-        }
-        EXPECT_EQ(s, ref) << "threads=" << threads;
-        EXPECT_EQ(stats.solverDecisions, ref_decisions)
-            << "threads=" << threads;
-        EXPECT_EQ(winners, ref_winners) << "threads=" << threads;
-    }
-    PlanMemo::global().clear();
-}
-
-TEST(PortfolioTest, LcOpgPortfolioOffMatchesHistoricalStats)
-{
-    // portfolioConfigs == 1 must reproduce the pre-portfolio planner
-    // exactly: same plan bytes AND same raw solver counters (the
-    // portfolio path switches the summaries to improvement snapshots,
-    // the single-config path must not).
-    auto g = smallGraph(3);
-    KernelModel km(DeviceProfile::onePlus12());
-    profiler::AnalyticCapacityProvider cap(km);
-
-    PlanMemo::global().clear();
-    OpgParams one;
-    one.portfolioConfigs = 1;
-    LcOpgPlanner p1(g, cap, km, one);
-    PlanStats s1;
-    auto plan1 = p1.plan(&s1).serialize();
-
-    PlanMemo::global().clear();
-    OpgParams dflt;
-    LcOpgPlanner p2(g, cap, km, dflt);
-    PlanStats s2;
-    auto plan2 = p2.plan(&s2).serialize();
-    PlanMemo::global().clear();
-
-    EXPECT_EQ(plan1, plan2);
-    EXPECT_EQ(s1.solverDecisions, s2.solverDecisions);
-    EXPECT_EQ(s1.solverConflicts, s2.solverConflicts);
-    for (const auto &ws : s1.windowSummaries)
-        EXPECT_EQ(ws.winningConfig, 0);
-}
-
-TEST(PortfolioTest, LcOpgSymmetryBreakingPreservesPlans)
+TEST(SymmetryTest, LcOpgSymmetryBreakingPreservesPlans)
 {
     // On transformer graphs the symmetry pass fires on groups of
     // equal-size weights whose preload is pinned by C0 (empty

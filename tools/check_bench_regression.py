@@ -41,13 +41,11 @@ snapshot:
     must agree to within measurement noise), a traced run whose
     outcome diverges from the untraced run, or a traced run that
     recorded no events, or
-  - the solver_portfolio section loses an instance, its symmetry
+  - the solver_search section loses an instance, its symmetry
     conflict ratio (plain/broken — a deterministic counter ratio, not
     wall time) drops below 90% of the committed value or below 1.0,
-    the portfolio proves fewer budget windows optimal than the
-    committed snapshot or no more than the single configuration, a
-    budget instance's portfolio status/objective worsens, or the
-    pool-size-1/2/8 byte-determinism flag goes false.
+    fewer budget windows are proven optimal than in the committed
+    snapshot, or a budget instance's status/objective worsens.
 
 Missing data fails loudly: absent aggregate_wall_speedup fields,
 instances/models/policies present on one side but not the other, and
@@ -479,23 +477,22 @@ def main() -> int:
                 "the traced serving run recorded no events — "
                 "instrumentation went dead")
 
-    # Inside-one-window portfolio + symmetry breaking: the conflict
-    # ratio and optimal-window counts are deterministic counters, so
-    # the gate holds on any machine class; wall times in the section
-    # are informational only.
-    if "solver_portfolio" not in old or "solver_portfolio" not in new:
+    # Window search (symmetry breaking + budget instances): the
+    # conflict ratio, statuses, objectives and optimal-window count are
+    # deterministic counters, so the gate holds on any machine class.
+    if "solver_search" not in old or "solver_search" not in new:
         side = ("both snapshots"
-                if "solver_portfolio" not in old and
-                "solver_portfolio" not in new else
+                if "solver_search" not in old and
+                "solver_search" not in new else
                 "the committed snapshot"
-                if "solver_portfolio" not in old else "the fresh run")
-        failures.append(f"solver_portfolio missing from {side}")
+                if "solver_search" not in old else "the fresh run")
+        failures.append(f"solver_search missing from {side}")
     else:
-        old_pf = old["solver_portfolio"]
-        new_pf = new["solver_portfolio"]
+        old_search = old["solver_search"]
+        new_search = new["solver_search"]
 
-        old_ratio = old_pf.get("symmetry_conflict_ratio")
-        new_ratio = new_pf.get("symmetry_conflict_ratio")
+        old_ratio = old_search.get("symmetry_conflict_ratio")
+        new_ratio = new_search.get("symmetry_conflict_ratio")
         if old_ratio is None or new_ratio is None:
             failures.append(
                 "symmetry_conflict_ratio missing from "
@@ -533,62 +530,49 @@ def main() -> int:
                     f"plain vs {new_row['broken_conflicts']} broken)")
 
         check_keyed_rows("symmetry instance", "name",
-                         old_pf.get("symmetry_instances", []),
-                         new_pf.get("symmetry_instances", []),
+                         old_search.get("symmetry_instances", []),
+                         new_search.get("symmetry_instances", []),
                          failures, sym_check)
 
         def budget_check(name, old_row, new_row):
-            for field in ("portfolio_status", "portfolio_objective"):
+            for field in ("single_status", "single_objective"):
                 if field not in old_row or field not in new_row:
                     failures.append(
                         f"budget instance {name}: {field} missing")
                     return
-            was = STATUS_RANK.get(old_row["portfolio_status"], 9)
-            now = STATUS_RANK.get(new_row["portfolio_status"], 9)
+            was = STATUS_RANK.get(old_row["single_status"], 9)
+            now = STATUS_RANK.get(new_row["single_status"], 9)
             if now > was:
                 failures.append(
-                    f"budget instance {name}: portfolio status "
-                    f"worsened {old_row['portfolio_status']} -> "
-                    f"{new_row['portfolio_status']}")
-            if (new_row["portfolio_objective"] >
-                    old_row["portfolio_objective"]):
+                    f"budget instance {name}: status worsened "
+                    f"{old_row['single_status']} -> "
+                    f"{new_row['single_status']}")
+            if new_row["single_objective"] > old_row["single_objective"]:
                 failures.append(
-                    f"budget instance {name}: portfolio objective "
-                    f"worsened {old_row['portfolio_objective']} -> "
-                    f"{new_row['portfolio_objective']}")
+                    f"budget instance {name}: objective worsened "
+                    f"{old_row['single_objective']} -> "
+                    f"{new_row['single_objective']}")
 
         check_keyed_rows("budget instance", "name",
-                         old_pf.get("budget_instances", []),
-                         new_pf.get("budget_instances", []),
+                         old_search.get("budget_instances", []),
+                         new_search.get("budget_instances", []),
                          failures, budget_check)
 
-        old_opt = old_pf.get("optimal_windows_portfolio")
-        new_opt = new_pf.get("optimal_windows_portfolio")
-        new_single = new_pf.get("optimal_windows_single")
-        if old_opt is None or new_opt is None or new_single is None:
+        old_opt = old_search.get("optimal_windows_single")
+        new_opt = new_search.get("optimal_windows_single")
+        if old_opt is None or new_opt is None:
             failures.append(
-                "optimal-window counts missing from the "
-                + ("committed snapshot" if old_opt is None
-                   else "fresh run"))
+                "optimal_windows_single missing from "
+                + ("both snapshots" if old_opt is None and
+                   new_opt is None else
+                   "the committed snapshot" if old_opt is None else
+                   "the fresh run"))
         else:
             if new_opt < old_opt:
                 failures.append(
-                    "portfolio proves fewer windows optimal than the "
+                    "fewer budget windows proven optimal than the "
                     f"committed snapshot ({old_opt} -> {new_opt})")
-            if new_opt <= new_single:
-                failures.append(
-                    "the portfolio no longer proves strictly more "
-                    "windows optimal than the single configuration "
-                    f"({new_opt} vs {new_single}) at the same "
-                    "per-config budget")
-            print(f"optimal windows: single {new_single}, "
-                  f"portfolio {old_opt} -> {new_opt}")
-
-        if not new_pf.get("deterministic", False):
-            failures.append(
-                "portfolio merged results are no longer identical "
-                "across pool sizes 1/2/8 — thread count leaked into "
-                "the plan")
+            print(f"optimal budget windows: {old_opt} -> {new_opt}")
 
     if failures:
         for f in failures:

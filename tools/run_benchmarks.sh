@@ -23,18 +23,17 @@
 # snapshot must be regenerated).
 #
 # Pass --only SECTION[,SECTION...] (sections: solver, fig6, serving,
-# admission, obs, portfolio) to re-run a subset of the benches — e.g.
+# admission, obs) to re-run a subset of the benches — e.g.
 # `--only serving` iterates on the 1M-request serving study without
 # re-running the solver suite, `--only admission` re-runs just the
-# arrival-time admission study (bench_serving --admission-only),
+# arrival-time admission study (bench_serving --admission-only), and
 # `--only obs` re-runs just the tracing-overhead study (bench_serving
-# --obs-only), and `--only portfolio` re-runs just the inside-one-
-# window portfolio + symmetry study (bench_table4_solver_runtime
-# --portfolio-only). The sections not re-run are carried over from
-# the committed snapshot, so the merged result keeps the full schema
-# and the gate still checks everything. (`serving` already owns the
-# serving_admission and serving_obs sections, and `solver` owns
-# solver_portfolio, so the fragments are folded in when both are
+# --obs-only). `--only solver` re-runs bench_table4_solver_runtime,
+# which owns the solver_search section. The sections not re-run are
+# carried over from the committed snapshot, so the merged result
+# keeps the full schema and the gate still checks everything.
+# (`serving` already owns the serving_admission and serving_obs
+# sections, so those fragments are folded in when both are
 # requested.)
 #
 # Pass --trace-dir DIR to additionally export Chrome/Perfetto
@@ -82,7 +81,6 @@ done
 out_json="${1:-${repo_root}/BENCH_table4.json}"
 
 run_solver=1; run_fig6=1; run_serving=1; run_admission=0; run_obs=0
-run_portfolio=0
 if [[ -n "${only}" ]]; then
     run_solver=0; run_fig6=0; run_serving=0
     IFS=',' read -ra sections <<< "${only}"
@@ -93,10 +91,9 @@ if [[ -n "${only}" ]]; then
             serving)   run_serving=1 ;;
             admission) run_admission=1 ;;
             obs)       run_obs=1 ;;
-            portfolio) run_portfolio=1 ;;
             *) echo "error: unknown section '$s'" \
                     "(expected solver, fig6, serving, admission," \
-                    "obs, portfolio)" >&2; exit 2 ;;
+                    "obs)" >&2; exit 2 ;;
         esac
     done
     if [[ ! -f "${out_json}" ]]; then
@@ -106,28 +103,23 @@ if [[ -n "${only}" ]]; then
     fi
 fi
 # The full serving bench already emits serving_admission and
-# serving_obs, and the full solver bench already emits
-# solver_portfolio; running the standalone fragments too would
-# collide in the merge.
+# serving_obs; running the standalone fragments too would collide in
+# the merge.
 if [[ ${run_serving} -eq 1 ]]; then
     run_admission=0
     run_obs=0
-fi
-if [[ ${run_solver} -eq 1 ]]; then
-    run_portfolio=0
 fi
 
 # Install the cleanup trap before the first mktemp so an early exit
 # (set -e between the mktemp calls, ctrl-C) cannot strand temp files.
 solver_json=""; fig6_json=""; serving_json=""
-admission_json=""; obs_json=""; portfolio_json=""; merged_json=""
+admission_json=""; obs_json=""; merged_json=""
 cleanup() {
     rm -f ${solver_json:+"${solver_json}"} \
           ${fig6_json:+"${fig6_json}"} \
           ${serving_json:+"${serving_json}"} \
           ${admission_json:+"${admission_json}"} \
           ${obs_json:+"${obs_json}"} \
-          ${portfolio_json:+"${portfolio_json}"} \
           ${merged_json:+"${merged_json}"}
 }
 trap cleanup EXIT
@@ -136,12 +128,10 @@ fig6_json="$(mktemp /tmp/bench_fig6.XXXXXX.json)"
 serving_json="$(mktemp /tmp/bench_serving.XXXXXX.json)"
 admission_json="$(mktemp /tmp/bench_admission.XXXXXX.json)"
 obs_json="$(mktemp /tmp/bench_obs.XXXXXX.json)"
-portfolio_json="$(mktemp /tmp/bench_portfolio.XXXXXX.json)"
 merged_json="$(mktemp /tmp/bench_merged.XXXXXX.json)"
 
 targets=()
-[[ ${run_solver} -eq 1 || ${run_portfolio} -eq 1 ]] &&
-    targets+=(bench_table4_solver_runtime)
+[[ ${run_solver} -eq 1 ]] && targets+=(bench_table4_solver_runtime)
 [[ ${run_fig6} -eq 1 || -n "${trace_dir}" ]] &&
     targets+=(bench_fig6_multimodel)
 [[ ${run_serving} -eq 1 || ${run_admission} -eq 1 ||
@@ -173,11 +163,6 @@ fi
 if [[ ${run_obs} -eq 1 ]]; then
     "${build_dir}/bench_serving" --obs-only "${obs_json}" >/dev/null
     fresh+=("${obs_json}")
-fi
-if [[ ${run_portfolio} -eq 1 ]]; then
-    "${build_dir}/bench_table4_solver_runtime" --portfolio-only \
-        "${portfolio_json}"
-    fresh+=("${portfolio_json}")
 fi
 
 if [[ -n "${trace_dir}" ]]; then

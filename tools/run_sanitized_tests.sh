@@ -10,13 +10,12 @@
 #
 # Usage: tools/run_sanitized_tests.sh [address|thread|undefined]
 #   With no argument both address and thread run ('all'), followed by
-#   a focused standalone-UBSan pass over the solver portfolio /
-#   symmetry tests — the portfolio's concurrent cancellation path
-#   (board polling + racing losers torn down mid-search) is the
-#   newest cross-thread machinery, so it gets undefined-behavior
-#   coverage on every full run. The address build already folds UBSan
-#   in, so 'undefined' is the standalone UBSan build for isolating
-#   alignment/overflow reports from ASan noise. Extra ctest arguments
+#   a focused standalone-UBSan pass over the symmetry tests (the
+#   lex-row leader functions multiply saturating positional weights
+#   into int64 sums, the solver's closest brush with overflow). The
+#   address build already folds UBSan in, so 'undefined' is the
+#   standalone UBSan build for isolating alignment/overflow reports
+#   from ASan noise. Extra ctest arguments
 #   can be passed via CTEST_ARGS, e.g. CTEST_ARGS="-R Faults" to
 #   iterate on the fault-injection tests alone.
 set -euo pipefail
@@ -62,9 +61,9 @@ case "$requested" in
     all)
         run_one address
         run_one thread
-        # Cancellation-path UBSan arm: the portfolio race and the
-        # symmetry lex rows, alone, under the standalone UBSan build.
-        run_one undefined -R "Portfolio|Symmetry"
+        # Focused UBSan arm: the symmetry lex rows, alone, under the
+        # standalone UBSan build.
+        run_one undefined -R Symmetry
         ;;
     *)  echo "usage: $0 [address|thread|undefined]" >&2; exit 2 ;;
 esac
