@@ -2,12 +2,13 @@
  * @file
  * Google-benchmark micro suites for the performance-sensitive library
  * components: the CP-SAT solver, LC-OPG planning end to end, texture
- * layout/cache simulation, the GBT regressor, and the streaming
- * runtime.
+ * layout/cache simulation, the GBT regressor, the streaming runtime,
+ * and windowed memory-trace queries.
  */
 
 #include <benchmark/benchmark.h>
 
+#include "common/stats.hh"
 #include "core/flashmem.hh"
 #include "core/lc_opg.hh"
 #include "gpusim/texture_cache.hh"
@@ -128,6 +129,32 @@ BM_StreamingRuntime(benchmark::State &state)
     }
 }
 BENCHMARK(BM_StreamingRuntime)->Unit(benchmark::kMillisecond);
+
+/**
+ * Windowed memory-trace queries over the last ~1k points of a series of
+ * 2^k points: what each run on a long-lived simulator asks of its
+ * memory trace. The per-query cost should stay flat as the series grows.
+ */
+void
+BM_TimeSeriesTailWindow(benchmark::State &state)
+{
+    const auto n = static_cast<SimTime>(state.range(0));
+    const SimTime window = 1024;
+    TimeSeries ts;
+    for (SimTime i = 0; i < n; ++i)
+        ts.record(i * 10, static_cast<double>((i * 7919) % 1000 + 1));
+    const SimTime start = (n - window) * 10;
+    const SimTime end = n * 10;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(ts.maxOver(start, end));
+        benchmark::DoNotOptimize(ts.timeWeightedAverage(start, end));
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_TimeSeriesTailWindow)
+    ->RangeMultiplier(4)
+    ->Range(1 << 14, 1 << 20)
+    ->Unit(benchmark::kMicrosecond);
 
 } // namespace
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 
 #include "common/logging.hh"
 
@@ -173,10 +174,9 @@ double
 TimeSeries::maxOver(SimTime start, SimTime end) const
 {
     double best = valueAt(start);
-    for (const auto &pt : points_) {
-        if (pt.time > start && pt.time <= end)
-            best = std::max(best, pt.value);
-    }
+    for (auto it = firstAfter(start);
+         it != points_.end() && it->time <= end; ++it)
+        best = std::max(best, it->value);
     return best;
 }
 
@@ -186,18 +186,13 @@ TimeSeries::timeWeightedAverage(SimTime start, SimTime end) const
     if (points_.empty() || end <= start)
         return 0.0;
     double area = 0.0;
-    double current = 0.0;
+    double current = valueAt(start);
     SimTime cursor = start;
-    for (const auto &pt : points_) {
-        if (pt.time <= start) {
-            current = pt.value;
-            continue;
-        }
-        if (pt.time >= end)
-            break;
-        area += current * static_cast<double>(pt.time - cursor);
-        cursor = pt.time;
-        current = pt.value;
+    for (auto it = firstAfter(start);
+         it != points_.end() && it->time < end; ++it) {
+        area += current * static_cast<double>(it->time - cursor);
+        cursor = it->time;
+        current = it->value;
     }
     area += current * static_cast<double>(end - cursor);
     return area / static_cast<double>(end - start);
@@ -214,13 +209,16 @@ TimeSeries::timeWeightedAverage() const
 double
 TimeSeries::valueAt(SimTime time) const
 {
-    double current = 0.0;
-    for (const auto &pt : points_) {
-        if (pt.time > time)
-            break;
-        current = pt.value;
-    }
-    return current;
+    auto it = firstAfter(time);
+    return it == points_.begin() ? 0.0 : std::prev(it)->value;
+}
+
+std::vector<TimeSeries::Point>::const_iterator
+TimeSeries::firstAfter(SimTime time) const
+{
+    return std::upper_bound(
+        points_.begin(), points_.end(), time,
+        [](SimTime t, const Point &pt) { return t < pt.time; });
 }
 
 } // namespace flashmem

@@ -79,7 +79,12 @@ class P2Quantile
 
 /**
  * Step-function time series, e.g. bytes of live memory over simulated
- * time. Samples must be appended in non-decreasing time order.
+ * time. Samples must be appended in non-decreasing time order; record()
+ * asserts it and collapses equal timestamps, so the stored points are
+ * strictly time-ordered. The windowed queries rely on that order: each
+ * binary-searches its first point and then walks only the points inside
+ * its window, so a query costs O(log n + points in the window) however
+ * long the series has grown.
  */
 class TimeSeries
 {
@@ -96,25 +101,33 @@ class TimeSeries
     bool empty() const { return points_.empty(); }
     const std::vector<Point> &points() const { return points_; }
 
-    /** Largest recorded value. */
+    /** Largest recorded value; O(n). */
     double peak() const;
 
-    /** Largest value in effect anywhere inside [start, end]. */
+    /**
+     * Largest value in effect anywhere inside [start, end];
+     * O(log n + points in the window). Returns valueAt(start) when
+     * @p end <= @p start.
+     */
     double maxOver(SimTime start, SimTime end) const;
 
     /**
      * Time-weighted average over [start, end]; the series is treated as a
-     * right-continuous step function.
+     * right-continuous step function. O(log n + points in the window);
+     * 0 when the series is empty or @p end <= @p start.
      */
     double timeWeightedAverage(SimTime start, SimTime end) const;
 
     /** Convenience: average over the whole recorded span. */
     double timeWeightedAverage() const;
 
-    /** Value in effect at @p time (0 before the first sample). */
+    /** Value in effect at @p time (0 before the first sample); O(log n). */
     double valueAt(SimTime time) const;
 
   private:
+    /** First point strictly after @p time (upper bound on time). */
+    std::vector<Point>::const_iterator firstAfter(SimTime time) const;
+
     std::vector<Point> points_;
 };
 

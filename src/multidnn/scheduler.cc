@@ -7,6 +7,12 @@
 
 namespace flashmem::multidnn {
 
+static_assert(static_cast<int>(solver::StopReason::Exhausted) == 0 &&
+                  static_cast<int>(solver::StopReason::DecisionLimit) ==
+                      1 &&
+                  static_cast<int>(solver::StopReason::TimeLimit) == 2,
+              "obs::stopReasonCodeName mirrors these values");
+
 namespace {
 
 /** Sum of the devices' total-memory step functions (cluster trace). */
@@ -380,7 +386,8 @@ EventScheduler::run(const std::vector<ModelRequest> &queue,
                                 w.status ==
                                     solver::SolveStatus::Optimal
                             ? 1
-                            : 0);
+                            : 0,
+                        static_cast<std::int32_t>(w.stopReason));
             }
             core::RunResult r;
             if (!cluster.overlap() && !faulty) {

@@ -115,6 +115,17 @@ deviceHealthCodeName(std::int64_t code)
     return "?";
 }
 
+const char *
+stopReasonCodeName(std::int64_t code)
+{
+    switch (code) {
+      case 0: return "exhausted";
+      case 1: return "decision_limit";
+      case 2: return "time_limit";
+    }
+    return "?";
+}
+
 void
 TraceRecorder::writeText(std::ostream &os, Stream stream) const
 {
@@ -224,14 +235,16 @@ TraceRecorder::writeText(std::ostream &os, Stream stream) const
             std::snprintf(buf, sizeof(buf),
                           "[t=%lld] solver_window window=%llu "
                           "model=%s conflicts=%lld restarts=%lld "
-                          "propagations=%lld proven_optimal=%lld",
+                          "propagations=%lld proven_optimal=%lld "
+                          "stop=%s",
                           static_cast<long long>(e.time),
                           static_cast<unsigned long long>(e.id),
                           modelName(e.model),
                           static_cast<long long>(e.a),
                           static_cast<long long>(e.b),
                           static_cast<long long>(e.c),
-                          static_cast<long long>(e.flag));
+                          static_cast<long long>(e.flag),
+                          stopReasonCodeName(e.runId));
             break;
         }
         os << buf << '\n';
@@ -295,15 +308,18 @@ TraceRecorder::writeChromeJson(std::ostream &os) const
         thread_name(998, "planner");
     thread_name(999, "requests");
 
-    auto instant = [&](int tid, SimTime t, const char *name) {
+    // @p extra is appended inside the record, e.g. an "args" member.
+    auto instant = [&](int tid, SimTime t, const char *name,
+                       const char *extra = "") {
         formatMicros(ts, sizeof(ts), t);
         std::snprintf(buf, sizeof(buf),
                       "{\"ph\":\"i\",\"pid\":0,\"tid\":%d,"
-                      "\"ts\":%s,\"s\":\"t\",\"name\":\"%s\"}",
-                      tid, ts, name);
+                      "\"ts\":%s,\"s\":\"t\",\"name\":\"%s\"%s}",
+                      tid, ts, name, extra);
         emit(buf);
     };
     char name[96];
+    char args[64];
     for (std::size_t i : sortedIndex(events_)) {
         const TraceEvent &e = events_[i];
         switch (e.kind) {
@@ -409,7 +425,10 @@ TraceRecorder::writeChromeJson(std::ostream &os) const
                           static_cast<unsigned long long>(e.id),
                           static_cast<long long>(e.a),
                           e.flag != 0 ? ", optimal" : "");
-            instant(998, e.time, name);
+            std::snprintf(args, sizeof(args),
+                          ",\"args\":{\"stop\":\"%s\"}",
+                          stopReasonCodeName(e.runId));
+            instant(998, e.time, name, args);
             break;
         }
     }

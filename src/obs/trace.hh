@@ -68,11 +68,13 @@ const char *eventKindName(EventKind kind);
 
 /** @name Payload-code names.
  * The codes mirror multidnn enums (pinned by static_asserts in
- * event_loop.hh); unknown codes render as "?". @{ */
+ * event_loop.hh) and solver::StopReason (pinned in scheduler.cc);
+ * unknown codes render as "?". @{ */
 const char *admissionVerdictCodeName(std::int64_t code);
 const char *dropReasonCodeName(std::int64_t code);
 const char *faultKindCodeName(std::int64_t code);
 const char *deviceHealthCodeName(std::int64_t code);
+const char *stopReasonCodeName(std::int64_t code);
 /** @} */
 
 /**
@@ -93,7 +95,8 @@ struct TraceEvent
     SimTime time = 0;
     std::int64_t a = 0, b = 0, c = 0;
     std::uint32_t id = 0;     ///< request seq / fault idx / window idx
-    std::int32_t runId = -1;  ///< dispatch run id, -1 n/a
+    std::int32_t runId = -1;  ///< dispatch run id, -1 n/a;
+                              ///< SolverWindow: stop reason code
     std::int16_t device = -1; ///< device id, -1 when n/a
     std::int16_t model = -1;  ///< models::ModelId as int, -1 when n/a
     EventKind kind = EventKind::RequestArrival;
@@ -236,10 +239,10 @@ class TraceRecorder
     solverWindow(SimTime t, std::uint64_t window, std::int32_t model,
                  std::int64_t conflicts, std::int64_t restarts,
                  std::int64_t propagations,
-                 std::int64_t proven_optimal)
+                 std::int64_t proven_optimal, std::int32_t stop_reason)
     {
         TraceEvent e = makeEvent(t, EventKind::SolverWindow, window,
-                                 -1, -1, model);
+                                 stop_reason, -1, model);
         e.a = conflicts;
         e.b = restarts;
         e.c = propagations;

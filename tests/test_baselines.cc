@@ -125,6 +125,28 @@ TEST(PreloadRun, MemoryBalancedAfterRun)
     EXPECT_EQ(sim.memory().used(), 0u);
 }
 
+TEST(PreloadRun, BackToBackRunsOnOneSimulatorAreStartTimeInvariant)
+{
+    PreloadFramework mnn(FrameworkId::MNN, DeviceProfile::onePlus12());
+    auto g = models::buildModel(ModelId::ResNet50);
+    GpuSimulator fresh(DeviceProfile::onePlus12());
+    auto ref = mnn.run(fresh, g);
+    ASSERT_GT(ref.peakMemory, 0u);
+
+    GpuSimulator sim(DeviceProfile::onePlus12());
+    SimTime at = 0;
+    for (int i = 0; i < 64; ++i) {
+        auto r = mnn.run(sim, g, at);
+        SCOPED_TRACE(testing::Message() << "run " << i);
+        EXPECT_EQ(r.start, at);
+        EXPECT_EQ(r.peakMemory, ref.peakMemory);
+        EXPECT_EQ(r.avgMemoryBytes, ref.avgMemoryBytes);
+        EXPECT_EQ(r.initLatency(), ref.initLatency());
+        EXPECT_EQ(r.execLatency(), ref.execLatency());
+        at = r.end;
+    }
+}
+
 TEST(PreloadRun, PeakMemoryMultipleOfWeights)
 {
     PreloadFramework mnn(FrameworkId::MNN, DeviceProfile::onePlus12());

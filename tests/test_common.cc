@@ -318,6 +318,142 @@ TEST(TimeSeries, WindowedAverageSubrange)
     EXPECT_DOUBLE_EQ(ts.timeWeightedAverage(150, 250), 25.0);
 }
 
+// Brute-force oracle: the linear scans the windowed queries replaced.
+// The binary-searched queries must reproduce them bit for bit.
+namespace oracle {
+
+double
+valueAt(const std::vector<TimeSeries::Point> &points, SimTime time)
+{
+    double current = 0.0;
+    for (const auto &pt : points) {
+        if (pt.time > time)
+            break;
+        current = pt.value;
+    }
+    return current;
+}
+
+double
+maxOver(const std::vector<TimeSeries::Point> &points, SimTime start,
+        SimTime end)
+{
+    double best = valueAt(points, start);
+    for (const auto &pt : points) {
+        if (pt.time > start && pt.time <= end)
+            best = std::max(best, pt.value);
+    }
+    return best;
+}
+
+double
+timeWeightedAverage(const std::vector<TimeSeries::Point> &points,
+                    SimTime start, SimTime end)
+{
+    if (points.empty() || end <= start)
+        return 0.0;
+    double area = 0.0;
+    double current = 0.0;
+    SimTime cursor = start;
+    for (const auto &pt : points) {
+        if (pt.time <= start) {
+            current = pt.value;
+            continue;
+        }
+        if (pt.time >= end)
+            break;
+        area += current * static_cast<double>(pt.time - cursor);
+        cursor = pt.time;
+        current = pt.value;
+    }
+    area += current * static_cast<double>(end - cursor);
+    return area / static_cast<double>(end - start);
+}
+
+} // namespace oracle
+
+/** Seeded step series of non-integer values. With @p collapse, some
+ * gaps are zero and some values repeat, so record() drops points. */
+TimeSeries
+randomSeries(Rng &rng, int records, bool collapse)
+{
+    TimeSeries ts;
+    SimTime t = rng.uniformInt(-1000, 1000);
+    double v = 0.0;
+    for (int i = 0; i < records; ++i) {
+        t += rng.uniformInt(collapse ? 0 : 1, 400);
+        if (!collapse || rng.uniform() < 0.8)
+            v = rng.uniform(1.0, 1e6);
+        ts.record(t, v);
+    }
+    return ts;
+}
+
+/** A window endpoint: on a point, next to one, or outside the series. */
+SimTime
+randomEndpoint(Rng &rng, const std::vector<TimeSeries::Point> &points)
+{
+    SimTime first = points.empty() ? 0 : points.front().time;
+    SimTime last = points.empty() ? 0 : points.back().time;
+    switch (rng.uniformInt(0, 4)) {
+    case 0:
+        if (!points.empty())
+            return points[static_cast<std::size_t>(rng.uniformInt(
+                                  0, static_cast<std::int64_t>(
+                                         points.size() - 1)))]
+                .time;
+        return 0;
+    case 1:
+        return first - rng.uniformInt(1, 5000);
+    case 2:
+        return last + rng.uniformInt(1, 5000);
+    case 3:
+        return rng.uniformInt(first - 10, last + 10);
+    default:
+        if (!points.empty())
+            return points[static_cast<std::size_t>(rng.uniformInt(
+                                  0, static_cast<std::int64_t>(
+                                         points.size() - 1)))]
+                       .time +
+                   rng.uniformInt(-1, 1);
+        return rng.uniformInt(-1, 1);
+    }
+}
+
+TEST(TimeSeries, WindowedQueriesMatchLinearScanBitForBit)
+{
+    Rng rng(20261017);
+    for (int records : {0, 1, 2, 10000}) {
+        TimeSeries ts = randomSeries(rng, records, records > 2);
+        const auto &points = ts.points();
+        if (records <= 2)
+            ASSERT_EQ(points.size(), static_cast<std::size_t>(records));
+        else
+            ASSERT_GT(points.size(), 7000u);
+        for (int q = 0; q < 2000; ++q) {
+            SimTime a = randomEndpoint(rng, points);
+            SimTime b = randomEndpoint(rng, points);
+            // Mostly ordered windows, some with end <= start.
+            SimTime start = q % 4 == 0 ? std::max(a, b) : std::min(a, b);
+            SimTime end = q % 4 == 0 ? std::min(a, b) : std::max(a, b);
+            SCOPED_TRACE(testing::Message()
+                         << "records=" << records << " start=" << start
+                         << " end=" << end);
+            EXPECT_EQ(ts.valueAt(start), oracle::valueAt(points, start));
+            EXPECT_EQ(ts.maxOver(start, end),
+                      oracle::maxOver(points, start, end));
+            EXPECT_EQ(ts.timeWeightedAverage(start, end),
+                      oracle::timeWeightedAverage(points, start, end));
+        }
+        if (points.size() >= 2) {
+            EXPECT_EQ(ts.timeWeightedAverage(),
+                      oracle::timeWeightedAverage(points,
+                                                  points.front().time,
+                                                  points.back().time));
+        }
+    }
+}
+
 TEST(StrUtil, Formatting)
 {
     EXPECT_EQ(formatDouble(3.14159, 2), "3.14");

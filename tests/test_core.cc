@@ -1235,6 +1235,32 @@ TEST(Runtime, ArrivalShiftsTimelineNotDuration)
     EXPECT_EQ(r1.integratedLatency(), r2.integratedLatency());
 }
 
+// The multi-DNN scheduler profiles each (model, budget) once on a scratch
+// simulator and replays that profile at every dispatch, so a run on a
+// long-lived simulator must report exactly what a fresh one does.
+TEST(Runtime, BackToBackRunsOnOneSimulatorAreStartTimeInvariant)
+{
+    core::FlashMem fm(DeviceProfile::onePlus12());
+    auto compiled = fm.compile(models::buildModel(models::ModelId::ResNet50));
+
+    GpuSimulator fresh(DeviceProfile::onePlus12());
+    auto ref = fm.execute(fresh, compiled);
+    ASSERT_GT(ref.peakMemory, 0u);
+
+    GpuSimulator sim(DeviceProfile::onePlus12());
+    SimTime at = 0;
+    for (int i = 0; i < 64; ++i) {
+        auto r = fm.execute(sim, compiled, at);
+        SCOPED_TRACE(testing::Message() << "run " << i);
+        EXPECT_EQ(r.start, at);
+        EXPECT_EQ(r.peakMemory, ref.peakMemory);
+        EXPECT_EQ(r.avgMemoryBytes, ref.avgMemoryBytes);
+        EXPECT_EQ(r.initLatency(), ref.initLatency());
+        EXPECT_EQ(r.execLatency(), ref.execLatency());
+        at = r.end;
+    }
+}
+
 TEST(Runtime, SlowDiskIncreasesStalls)
 {
     auto g = models::buildModel(models::ModelId::GPTNeoS);

@@ -61,13 +61,16 @@ TEST(TraceRecorder, ServingStreamExcludesPlannerEvents)
     rec.replan(0, static_cast<std::int32_t>(ModelId::ViT), mib(256),
                0, 3);
     rec.solverWindow(0, 0, static_cast<std::int32_t>(ModelId::ViT),
-                     1, 2, 3, 1);
+                     1, 2, 3, 1, /*stop_reason=*/1);
     rec.requestShed(0, 7, static_cast<std::int32_t>(ModelId::ViT),
                     /*reason=*/0, /*attempts=*/0);
 
     auto full = rec.text(Stream::Full);
     EXPECT_NE(full.find("replan"), std::string::npos);
     EXPECT_NE(full.find("solver_window"), std::string::npos);
+    EXPECT_NE(full.find("proven_optimal=1 stop=decision_limit\n"),
+              std::string::npos)
+        << full;
 
     auto serving = rec.text(Stream::Serving);
     EXPECT_EQ(serving.find("replan"), std::string::npos) << serving;
@@ -92,6 +95,8 @@ TEST(TraceRecorder, ChromeJsonHasTracksAndBalancedBraces)
                       milliseconds(5), 0);
     rec.replan(0, static_cast<std::int32_t>(ModelId::ResNet50),
                mib(256), 0, 2);
+    rec.solverWindow(0, 3, static_cast<std::int32_t>(ModelId::ResNet50),
+                     4, 0, 9, 0, /*stop_reason=*/2);
 
     std::ostringstream os;
     rec.writeChromeJson(os);
@@ -105,6 +110,11 @@ TEST(TraceRecorder, ChromeJsonHasTracksAndBalancedBraces)
     EXPECT_NE(json.find("dev 0 dma"), std::string::npos);
     EXPECT_NE(json.find("\"planner\""), std::string::npos);
     EXPECT_NE(json.find("\"requests\""), std::string::npos);
+    // The window's stop reason rides as a Perfetto arg.
+    EXPECT_NE(json.find("\"name\":\"window 3 (conflicts=4)\","
+                        "\"args\":{\"stop\":\"time_limit\"}"),
+              std::string::npos)
+        << json;
     // Async request lane: begin and end with a shared id.
     EXPECT_NE(json.find("\"ph\":\"b\""), std::string::npos);
     EXPECT_NE(json.find("\"ph\":\"e\""), std::string::npos);
@@ -216,6 +226,7 @@ TEST(TraceDeterminism, SchedulerTraceIdenticalAcrossPlannerThreads)
     auto text1 = rec1.text();
     ASSERT_NE(text1.find("replan "), std::string::npos);
     ASSERT_NE(text1.find("solver_window"), std::string::npos);
+    ASSERT_NE(text1.find(" stop="), std::string::npos);
     ASSERT_NE(text1.find("request_dispatch"), std::string::npos);
 
     // Byte-identical export for any planner thread count.
