@@ -93,11 +93,12 @@ class FlashMem
      * On-device re-planning: produce a sibling of @p compiled whose
      * overlap plan is solved under @p mPeak instead of the budget it
      * shipped with. The fused graph is reused as-is (fusion decisions
-     * are budget-independent; skipping the adaptive-fusion loop keeps
-     * re-plans well under a second) and window solves warm-start
-     * through the configured PlanMemo, so repeated budget shifts —
-     * the multi-DNN scheduler admitting/evicting co-resident models —
-     * are cheap and bit-deterministic for any thread count.
+     * are budget-independent, so the adaptive-fusion loop is skipped)
+     * and window solves go through the configured PlanMemo: warm
+     * starts, and replays of kept solves the new budget cannot reach
+     * (LcOpgPlanner::replan gives the measured cost). Repeated budget
+     * shifts — the multi-DNN scheduler admitting/evicting co-resident
+     * models — are cheap and bit-deterministic for any thread count.
      */
     CompiledModel replan(const CompiledModel &compiled,
                          Bytes mPeak) const;

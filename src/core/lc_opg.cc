@@ -382,6 +382,8 @@ LcOpgPlanner::interpretRound(WindowSolveState &st,
     result.lexRows += st.rm.lexRows;
     if (st.rm.memoHit)
         ++result.memoHits;
+    if (st.rm.reused)
+        ++result.reusedRounds;
     result.solveSeconds += r.wallSeconds;
     result.decisions += r.decisions;
     result.propagations += r.propagations;
@@ -653,8 +655,23 @@ LcOpgPlanner::plan(PlanStats *stats)
         sp.maxDecisions = params_.solverDecisionsPerWindow;
         sp.engine = params_.solverEngine;
         sp.restartConflictBase = params_.restartConflictBase;
+        // A round whose solve a kept record replays (the budget moved
+        // only rows the recorded search never tightened) takes the
+        // recorded result instead of searching; see
+        // solver::replaysRecord. Lookups and stores both run here on
+        // the main thread, in a thread-count-independent order.
         auto submitRound = [&](WindowSolveState &st) {
             st.rm = buildWindowModel(*st.in, st.relax, st.forced);
+            if (params_.planMemo) {
+                if (auto hit = memoRef().findSolve(st.rm.model,
+                                                   st.rm.hint, sp)) {
+                    std::promise<solver::SolveResult> ready;
+                    ready.set_value(std::move(*hit));
+                    st.solve = ready.get_future();
+                    st.rm.reused = true;
+                    return;
+                }
+            }
             st.solve = pool.submit([&st, sp]() {
                 return solver::CpSolver(sp).solve(st.rm.model,
                                                   &st.rm.hint);
@@ -685,9 +702,14 @@ LcOpgPlanner::plan(PlanStats *stats)
         for (std::size_t i = 0; i < inputs.size(); ++i) {
             WindowSolveState &st = states[i];
             while (!st.done) {
-                if (interpretRound(st, st.solve.get()))
-                    st.done = true;
-                else
+                solver::SolveResult r = st.solve.get();
+                st.done = interpretRound(st, r);
+                // The round model is spent: keep it as a record.
+                if (params_.planMemo && !st.rm.reused)
+                    memoRef().storeSolve({std::move(st.rm.model),
+                                          std::move(st.rm.hint), sp,
+                                          std::move(r)});
+                if (!st.done)
                     submitRound(st);
             }
             outputs.push_back(std::move(st.out));
@@ -719,6 +741,7 @@ LcOpgPlanner::plan(PlanStats *stats)
         s.conflicts = wr.conflicts;
         s.restarts = wr.restarts;
         s.stopReason = wr.stopReason;
+        s.reusedRounds = wr.reusedRounds;
         local.windowSummaries.push_back(std::move(s));
         ++local.windows;
         local.symmetryRows += wr.lexRows;
@@ -731,6 +754,7 @@ LcOpgPlanner::plan(PlanStats *stats)
         local.softRelaxations += wr.softRelaxations;
         local.forcedPreloads += wr.forcedPreloads;
         local.memoHits += wr.memoHits;
+        local.reusedRounds += wr.reusedRounds;
         if (wr.stopReason == solver::StopReason::TimeLimit)
             ++local.timeLimitedWindows;
         if (wr.usedGreedy) {

@@ -98,7 +98,10 @@ struct OpgParams
      * that solve to OPTIMAL replan byte-identically; budget-truncated
      * windows may improve under a warm start (per-window objectives
      * are monotonically non-increasing across repeated runs, since the
-     * cached incumbent bounds the new search).
+     * cached incumbent bounds the new search). The memo also keeps
+     * every finished round as a solve record, which a later round
+     * replays bit for bit when the two differ only in row bounds that
+     * the recorded search never reached (PlanMemo::findSolve).
      */
     bool planMemo = true;
     /**
@@ -166,6 +169,8 @@ struct PlanStats
          * that never ran the solver.
          */
         solver::StopReason stopReason = solver::StopReason::Exhausted;
+        /** Rounds answered by a PlanMemo solve record, not a search. */
+        int reusedRounds = 0;
     };
 
     double processNodesSeconds = 0.0;   ///< graph analysis + capacities
@@ -195,6 +200,9 @@ struct PlanStats
     std::uint64_t solverRestarts = 0;   ///< Luby restarts across windows
     std::uint64_t memoHits = 0;         ///< plan-memo warm starts used
     std::uint64_t memoStores = 0;       ///< incumbents written back
+    /** Window rounds whose solve a PlanMemo solve record replayed
+     * (PlanMemo::findSolve); their counters are the recorded ones. */
+    int reusedRounds = 0;
     std::uint64_t solverPropagations = 0; ///< constraint revisions
     std::uint64_t solverConflicts = 0;    ///< search backtracks
     /** Symmetry-breaking lex rows added across all window models. */
@@ -226,7 +234,12 @@ class LcOpgPlanner
      * capacity share when co-resident models are admitted or evicted).
      * Reuses the graph analysis of the first plan() call — only the
      * staging/solve/merge phases re-run — and warm-starts through the
-     * configured PlanMemo, so re-plans land well under a second.
+     * configured PlanMemo. A round whose budget change cannot reach
+     * its search replays a kept solve record instead of searching
+     * (PlanStats::reusedRounds), so a replan costs about its model
+     * builds when every round replays and a cold plan when none does:
+     * on the model-zoo 50/25/10% ladder, 2.5-66 ms per replan, up to
+     * 0.41 s for SD-UNet at 10% (Release, 4 threads, 4-vCPU Xeon).
      * Deterministic for any thread count, like plan().
      */
     OverlapPlan replan(Bytes mPeak, PlanStats *stats = nullptr);
@@ -251,6 +264,7 @@ class LcOpgPlanner
         double buildSeconds = 0.0;
         double solveSeconds = 0.0;
         std::uint64_t memoHits = 0;
+        int reusedRounds = 0;
         /** See PlanStats::WindowSolveSummary::stopReason. */
         solver::StopReason stopReason = solver::StopReason::Exhausted;
         int lexRows = 0;        ///< symmetry-breaking rows added
@@ -340,6 +354,8 @@ class LcOpgPlanner
         std::vector<std::vector<solver::VarId>> x_vars;
         std::uint64_t fingerprint = 0;
         bool memoHit = false;
+        /** The round's result came from PlanMemo::findSolve. */
+        bool reused = false;
         int lexRows = 0;
         double buildSeconds = 0.0;
     };

@@ -244,6 +244,61 @@ PlanMemo::clear()
     entries_.clear();
     stats_ = {};
     clock_ = 0;
+    solves_.clear();
+    solve_clock_ = 0;
+}
+
+bool
+PlanMemo::storeSolve(solver::SolveRecord record)
+{
+    if (record.result.stopReason == solver::StopReason::TimeLimit)
+        return false;
+    const std::uint64_t shape = record.model.shapeFingerprint();
+    std::lock_guard<std::mutex> lock(mu_);
+    if (solves_.size() >= kSolveRecords) {
+        // Least recently used, fingerprint tie-break, as for the
+        // incumbents: the victim never depends on slot order.
+        auto victim = solves_.begin();
+        for (auto it = solves_.begin(); it != solves_.end(); ++it) {
+            if (it->lastUse < victim->lastUse ||
+                (it->lastUse == victim->lastUse &&
+                 it->shape < victim->shape))
+                victim = it;
+        }
+        solves_.erase(victim);
+    }
+    solves_.push_back({shape, ++solve_clock_, std::move(record)});
+    return true;
+}
+
+std::vector<solver::SolveRecord>
+PlanMemo::solveRecords() const
+{
+    std::lock_guard<std::mutex> lock(mu_);
+    std::vector<solver::SolveRecord> out;
+    out.reserve(solves_.size());
+    for (const auto &slot : solves_)
+        out.push_back(slot.record);
+    return out;
+}
+
+std::optional<solver::SolveResult>
+PlanMemo::findSolve(const solver::CpModel &model,
+                    const std::vector<std::int64_t> &hint,
+                    const solver::SolverParams &params)
+{
+    const std::uint64_t shape = model.shapeFingerprint();
+    std::lock_guard<std::mutex> lock(mu_);
+    for (auto &slot : solves_) {
+        if (slot.shape != shape ||
+            !solver::replaysRecord(slot.record, model, hint, params))
+            continue;
+        slot.lastUse = ++solve_clock_;
+        solver::SolveResult r = slot.record.result;
+        r.wallSeconds = 0.0;
+        return r;
+    }
+    return std::nullopt;
 }
 
 void

@@ -20,6 +20,7 @@
 
 #include "core/weight_slicer.hh"
 #include "graph/graph.hh"
+#include "solver/solver.hh"
 
 namespace flashmem::core {
 
@@ -120,6 +121,13 @@ class OverlapPlan
  * corrupt, or a different format version) and save on destruction, so
  * CLI tools and benches warm-start across process launches. The file
  * is a versioned binary keyed by CpModel fingerprint.
+ *
+ * Besides incumbents the memo keeps solve records (storeSolve /
+ * findSolve): whole finished window solves, so a replan at another
+ * budget skips every solve the budget cannot reach. Records live in
+ * memory only: they are bounded (kSolveRecords, LRU), cleared by
+ * clear(), never serialized, and touch neither the incumbents nor
+ * their recency, so the memo file's bytes do not depend on them.
  */
 class PlanMemo
 {
@@ -162,7 +170,48 @@ class PlanMemo
         return entries_.size();
     }
     std::size_t capacity() const { return capacity_; }
+    /** Drop every incumbent and solve record, and zero the stats. */
     void clear();
+
+    /** @name Solve records (memory only; see class comment). @{ */
+    /**
+     * Solve records kept at most. Enough for every window round of a
+     * model-zoo compile pass plus its replans; a window model is at
+     * most ~1 MB, so the bound also caps the memory they take.
+     */
+    static constexpr std::size_t kSolveRecords = 256;
+
+    /**
+     * Keep @p record for findSolve(), evicting the least recently
+     * used record (fingerprint tie-break) when full. Records that
+     * stopped on the wall clock are refused: they replay nothing.
+     * @return whether the record was kept.
+     */
+    bool storeSolve(solver::SolveRecord record);
+
+    /**
+     * The result of a kept record that solving @p model from @p hint
+     * under @p params would reproduce bit for bit
+     * (solver::replaysRecord), with wallSeconds zeroed; nullopt when
+     * no record qualifies. Candidates are found by shape fingerprint
+     * and always verified exactly.
+     */
+    std::optional<solver::SolveResult> findSolve(
+        const solver::CpModel &model,
+        const std::vector<std::int64_t> &hint,
+        const solver::SolverParams &params);
+
+    std::size_t
+    solveRecordCount() const
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        return solves_.size();
+    }
+
+    /** Copies of the kept records, oldest store first (for triage
+     * and tests: they are real window models with their solves). */
+    std::vector<solver::SolveRecord> solveRecords() const;
+    /** @} */
 
     /** Hit/miss/store counters since construction (or clear()). */
     struct Stats
@@ -212,6 +261,13 @@ class PlanMemo
         std::uint64_t lastUse = 0;
     };
 
+    struct SolveSlot
+    {
+        std::uint64_t shape = 0; ///< CpModel::shapeFingerprint()
+        std::uint64_t lastUse = 0;
+        solver::SolveRecord record;
+    };
+
     void evictIfNeeded(); // caller holds mu_
 
     const std::size_t capacity_;
@@ -220,6 +276,9 @@ class PlanMemo
     std::uint64_t clock_ = 0;
     std::unordered_map<std::uint64_t, Entry> entries_;
     Stats stats_;
+    /** Solve records in store order; own recency clock. */
+    std::uint64_t solve_clock_ = 0;
+    std::vector<SolveSlot> solves_;
 };
 
 } // namespace flashmem::core

@@ -387,7 +387,8 @@ EventScheduler::run(const std::vector<ModelRequest> &queue,
                                     solver::SolveStatus::Optimal
                             ? 1
                             : 0,
-                        static_cast<std::int32_t>(w.stopReason));
+                        static_cast<std::int32_t>(w.stopReason),
+                        w.reusedRounds);
             }
             core::RunResult r;
             if (!cluster.overlap() && !faulty) {

@@ -20,8 +20,9 @@
  * shared capacity budget, and when a model's share shifts — because
  * other models were admitted to or evicted from the ready set — the
  * model is re-planned at its new budget via FlashMem::replan(),
- * warm-started through the PlanMemo so re-plans land well under a
- * second and are bit-deterministic for any planner thread count.
+ * through the PlanMemo (warm starts, and replays of kept window
+ * solves the new budget cannot reach), so re-plans are cheap and
+ * bit-deterministic for any planner thread count.
  */
 
 #ifndef FLASHMEM_MULTIDNN_SCHEDULER_HH

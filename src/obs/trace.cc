@@ -236,7 +236,7 @@ TraceRecorder::writeText(std::ostream &os, Stream stream) const
                           "[t=%lld] solver_window window=%llu "
                           "model=%s conflicts=%lld restarts=%lld "
                           "propagations=%lld proven_optimal=%lld "
-                          "stop=%s",
+                          "stop=%s reused=%d",
                           static_cast<long long>(e.time),
                           static_cast<unsigned long long>(e.id),
                           modelName(e.model),
@@ -244,7 +244,7 @@ TraceRecorder::writeText(std::ostream &os, Stream stream) const
                           static_cast<long long>(e.b),
                           static_cast<long long>(e.c),
                           static_cast<long long>(e.flag),
-                          stopReasonCodeName(e.runId));
+                          stopReasonCodeName(e.runId), e.device);
             break;
         }
         os << buf << '\n';
@@ -269,10 +269,13 @@ TraceRecorder::writeChromeJson(std::ostream &os) const
     std::int32_t max_device = -1;
     bool planner = false;
     for (const TraceEvent &e : events_) {
-        max_device =
-            std::max(max_device, static_cast<std::int32_t>(e.device));
-        planner = planner || e.kind == EventKind::Replan ||
-                  e.kind == EventKind::SolverWindow;
+        const bool planner_event = e.kind == EventKind::Replan ||
+                                   e.kind == EventKind::SolverWindow;
+        // SolverWindow's device slot holds its reused-round count.
+        if (!planner_event)
+            max_device = std::max(max_device,
+                                  static_cast<std::int32_t>(e.device));
+        planner = planner || planner_event;
     }
 
     os << "{\"traceEvents\":[";
@@ -426,8 +429,9 @@ TraceRecorder::writeChromeJson(std::ostream &os) const
                           static_cast<long long>(e.a),
                           e.flag != 0 ? ", optimal" : "");
             std::snprintf(args, sizeof(args),
-                          ",\"args\":{\"stop\":\"%s\"}",
-                          stopReasonCodeName(e.runId));
+                          ",\"args\":{\"stop\":\"%s\","
+                          "\"reused\":%d}",
+                          stopReasonCodeName(e.runId), e.device);
             instant(998, e.time, name, args);
             break;
         }

@@ -97,7 +97,8 @@ struct TraceEvent
     std::uint32_t id = 0;     ///< request seq / fault idx / window idx
     std::int32_t runId = -1;  ///< dispatch run id, -1 n/a;
                               ///< SolverWindow: stop reason code
-    std::int16_t device = -1; ///< device id, -1 when n/a
+    std::int16_t device = -1; ///< device id, -1 when n/a;
+                              ///< SolverWindow: reused rounds
     std::int16_t model = -1;  ///< models::ModelId as int, -1 when n/a
     EventKind kind = EventKind::RequestArrival;
     std::int8_t flag = 0;     ///< SolverWindow: proven_optimal
@@ -239,10 +240,11 @@ class TraceRecorder
     solverWindow(SimTime t, std::uint64_t window, std::int32_t model,
                  std::int64_t conflicts, std::int64_t restarts,
                  std::int64_t propagations,
-                 std::int64_t proven_optimal, std::int32_t stop_reason)
+                 std::int64_t proven_optimal, std::int32_t stop_reason,
+                 std::int32_t reused_rounds)
     {
         TraceEvent e = makeEvent(t, EventKind::SolverWindow, window,
-                                 stop_reason, -1, model);
+                                 stop_reason, reused_rounds, model);
         e.a = conflicts;
         e.b = restarts;
         e.c = propagations;

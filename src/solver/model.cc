@@ -149,6 +149,18 @@ struct Fnv1a
 std::uint64_t
 CpModel::fingerprint() const
 {
+    return hashModel(true);
+}
+
+std::uint64_t
+CpModel::shapeFingerprint() const
+{
+    return hashModel(false);
+}
+
+std::uint64_t
+CpModel::hashModel(bool with_row_hi) const
+{
     Fnv1a f;
     f.mix(lbs_.size());
     for (std::size_t v = 0; v < lbs_.size(); ++v) {
@@ -158,7 +170,8 @@ CpModel::fingerprint() const
     f.mix(constraints_.size());
     for (const auto &c : constraints_) {
         f.mixI64(c.lo);
-        f.mixI64(c.hi);
+        if (with_row_hi)
+            f.mixI64(c.hi);
         f.mix(c.terms.size());
         for (const auto &t : c.terms) {
             f.mix(static_cast<std::uint64_t>(t.var));

@@ -26,6 +26,8 @@ struct LinearTerm
 {
     VarId var = -1;
     std::int64_t coef = 1;
+
+    bool operator==(const LinearTerm &) const = default;
 };
 
 /** lo <= sum(terms) <= hi. */
@@ -43,6 +45,8 @@ struct Implication
     std::int64_t xThreshold = 1;
     VarId y = -1;
     std::int64_t yBound = 0;
+
+    bool operator==(const Implication &) const = default;
 };
 
 /** Declarative CP model: variables, constraints, objective. */
@@ -118,7 +122,17 @@ class CpModel
      */
     std::uint64_t fingerprint() const;
 
+    /**
+     * fingerprint() without the rows' upper bounds: models that differ
+     * only in linear-row hi values (e.g. one window at two memory
+     * budgets) share it. Keys the solve records a replan may reuse
+     * (see solver::replaysRecord); never trusted without verification.
+     */
+    std::uint64_t shapeFingerprint() const;
+
   private:
+    std::uint64_t hashModel(bool with_row_hi) const;
+
     void checkVar(VarId v) const;
     void checkTerms(const std::vector<LinearTerm> &terms) const;
 

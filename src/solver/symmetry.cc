@@ -17,18 +17,19 @@ namespace {
 constexpr std::int64_t kWeightCap = 1'000'000;
 
 /**
- * Canonical flat encoding of one constraint under a variable
- * renaming: [coef-sorted (var, coef) pairs..., lo, hi]. Term order
- * inside a row is irrelevant to its meaning, so terms are sorted
+ * Canonical flat encoding of one constraint with every variable v
+ * renamed to rename(v): [sorted (var, coef) pairs..., lo, hi]. Term
+ * order inside a row is irrelevant to its meaning, so terms are sorted
  * after renaming to make the encoding comparison-stable.
  */
+template <typename Rename>
 std::vector<std::int64_t>
-encodeConstraint(const LinearConstraint &c, const std::vector<VarId> &perm)
+encodeRow(const LinearConstraint &c, Rename rename)
 {
     std::vector<std::pair<VarId, std::int64_t>> terms;
     terms.reserve(c.terms.size());
     for (const LinearTerm &t : c.terms)
-        terms.emplace_back(perm[t.var], t.coef);
+        terms.emplace_back(rename(t.var), t.coef);
     std::sort(terms.begin(), terms.end());
     std::vector<std::int64_t> flat;
     flat.reserve(2 * terms.size() + 2);
@@ -41,11 +42,127 @@ encodeConstraint(const LinearConstraint &c, const std::vector<VarId> &perm)
     return flat;
 }
 
-std::vector<std::int64_t> encodeImplication(const Implication &imp,
-                                            const std::vector<VarId> &perm)
+template <typename Rename>
+std::vector<std::int64_t>
+encodeRow(const Implication &imp, Rename rename)
 {
-    return {perm[imp.x], imp.xThreshold, perm[imp.y], imp.yBound};
+    return {rename(imp.x), imp.xThreshold, rename(imp.y), imp.yBound};
 }
+
+/**
+ * Per-model state shared by every pair check: the dense objective
+ * coefficients and a permutation that is the identity between checks.
+ */
+class SwapChecker
+{
+  public:
+    explicit SwapChecker(const CpModel &model)
+        : model_(model), obj_(model.varCount(), 0),
+          perm_(model.varCount())
+    {
+        for (const LinearTerm &t : model.objective())
+            obj_[t.var] += t.coef;
+        for (std::size_t v = 0; v < perm_.size(); ++v)
+            perm_[v] = static_cast<VarId>(v);
+    }
+
+    /** See blocksInterchangeable(). */
+    bool
+    interchangeable(const VarBlock &a, const VarBlock &b)
+    {
+        if (a.vars.size() != b.vars.size() || a.vars.empty())
+            return false;
+        const bool ok = buildSwap(a, b) && swapPreservesModel(a, b);
+        // Every entry the swap may have moved lies in a or b.
+        for (std::size_t i = 0; i < a.vars.size(); ++i) {
+            perm_[a.vars[i]] = a.vars[i];
+            perm_[b.vars[i]] = b.vars[i];
+        }
+        return ok;
+    }
+
+  private:
+    /** Set perm_ to the transposition; false on overlap (a shared
+     * variable has no well-defined swap image). */
+    bool
+    buildSwap(const VarBlock &a, const VarBlock &b)
+    {
+        for (std::size_t i = 0; i < a.vars.size(); ++i) {
+            const VarId av = a.vars[i];
+            const VarId bv = b.vars[i];
+            if (av == bv || perm_[av] != av || perm_[bv] != bv)
+                return false;
+            perm_[av] = bv;
+            perm_[bv] = av;
+        }
+        return true;
+    }
+
+    bool
+    swapPreservesModel(const VarBlock &a, const VarBlock &b)
+    {
+        // Per-position domains must match or the swap is not a
+        // bijection on assignments; equal objective coefficients per
+        // position keep the objective invariant (variables outside the
+        // blocks are fixed points of the swap).
+        for (std::size_t i = 0; i < a.vars.size(); ++i) {
+            const VarId av = a.vars[i];
+            const VarId bv = b.vars[i];
+            if (model_.lowerBound(av) != model_.lowerBound(bv) ||
+                model_.upperBound(av) != model_.upperBound(bv) ||
+                obj_[av] != obj_[bv])
+                return false;
+        }
+
+        // The multiset of rows must be unchanged by the renaming.
+        // Rows that mention neither block are fixed by the swap and
+        // cancel out of both multisets, so only the rows watching a
+        // block variable are encoded. Exact comparison (sorted
+        // canonical encodings): a "symmetric" verdict is a proof.
+        auto touching = [&](auto watching) {
+            std::vector<std::int32_t> ids;
+            for (const VarBlock *blk : {&a, &b}) {
+                for (VarId v : blk->vars) {
+                    const auto &w = watching(v);
+                    ids.insert(ids.end(), w.begin(), w.end());
+                }
+            }
+            std::sort(ids.begin(), ids.end());
+            ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+            return ids;
+        };
+        const auto cons = touching([&](VarId v) -> const auto & {
+            return model_.constraintsWatching(v);
+        });
+        const auto imps = touching([&](VarId v) -> const auto & {
+            return model_.implicationsWatching(v);
+        });
+        return sameUnderSwap(cons, model_.constraints()) &&
+               sameUnderSwap(imps, model_.implications());
+    }
+
+    template <typename Row>
+    bool
+    sameUnderSwap(const std::vector<std::int32_t> &ids,
+                  const std::vector<Row> &rows) const
+    {
+        std::vector<std::vector<std::int64_t>> plain, swapped;
+        plain.reserve(ids.size());
+        swapped.reserve(ids.size());
+        for (auto id : ids) {
+            plain.push_back(encodeRow(rows[id], [](VarId v) { return v; }));
+            swapped.push_back(encodeRow(
+                rows[id], [this](VarId v) { return perm_[v]; }));
+        }
+        std::sort(plain.begin(), plain.end());
+        std::sort(swapped.begin(), swapped.end());
+        return plain == swapped;
+    }
+
+    const CpModel &model_;
+    std::vector<std::int64_t> obj_;
+    std::vector<VarId> perm_;
+};
 
 /** Leader-function weights for one block (see addSymmetryBreaking). */
 std::vector<std::int64_t> leaderWeights(const CpModel &model,
@@ -80,88 +197,20 @@ std::int64_t leaderValue(const VarBlock &block,
 bool blocksInterchangeable(const CpModel &model, const VarBlock &a,
                            const VarBlock &b)
 {
-    if (a.vars.size() != b.vars.size() || a.vars.empty())
-        return false;
-
-    // Build the transposition; bail out on overlap (a shared variable
-    // has no well-defined swap image).
-    std::vector<VarId> perm(model.varCount());
-    for (std::size_t v = 0; v < perm.size(); ++v)
-        perm[v] = static_cast<VarId>(v);
-    for (std::size_t i = 0; i < a.vars.size(); ++i) {
-        const VarId av = a.vars[i];
-        const VarId bv = b.vars[i];
-        if (av == bv || perm[av] != av || perm[bv] != bv)
-            return false;
-        perm[av] = bv;
-        perm[bv] = av;
-    }
-
-    // Per-position domains must match or the swap is not a bijection
-    // on assignments.
-    for (std::size_t i = 0; i < a.vars.size(); ++i) {
-        if (model.lowerBound(a.vars[i]) != model.lowerBound(b.vars[i]) ||
-            model.upperBound(a.vars[i]) != model.upperBound(b.vars[i]))
-            return false;
-    }
-
-    // The objective must be invariant: equal coefficient per position
-    // (variables outside the blocks are fixed points of the swap).
-    std::vector<std::int64_t> obj(model.varCount(), 0);
-    for (const LinearTerm &t : model.objective())
-        obj[t.var] += t.coef;
-    for (std::size_t i = 0; i < a.vars.size(); ++i)
-        if (obj[a.vars[i]] != obj[b.vars[i]])
-            return false;
-
-    // Constraint system invariance: the multiset of rows must be
-    // unchanged by the renaming. Exact comparison (sorted canonical
-    // encodings), so a "symmetric" verdict is a proof, not a guess.
-    const auto identity = [&](auto encode, const auto &rows) {
-        std::vector<std::vector<std::int64_t>> out;
-        out.reserve(rows.size());
-        for (const auto &row : rows)
-            out.push_back(encode(row, perm));
-        std::sort(out.begin(), out.end());
-        return out;
-    };
-    std::vector<VarId> id(model.varCount());
-    for (std::size_t v = 0; v < id.size(); ++v)
-        id[v] = static_cast<VarId>(v);
-    const auto plain = [&](auto encode, const auto &rows) {
-        std::vector<std::vector<std::int64_t>> out;
-        out.reserve(rows.size());
-        for (const auto &row : rows)
-            out.push_back(encode(row, id));
-        std::sort(out.begin(), out.end());
-        return out;
-    };
-    const auto encC = [](const LinearConstraint &c,
-                         const std::vector<VarId> &p) {
-        return encodeConstraint(c, p);
-    };
-    const auto encI = [](const Implication &i, const std::vector<VarId> &p) {
-        return encodeImplication(i, p);
-    };
-    if (identity(encC, model.constraints()) !=
-        plain(encC, model.constraints()))
-        return false;
-    if (identity(encI, model.implications()) !=
-        plain(encI, model.implications()))
-        return false;
-    return true;
+    return SwapChecker(model).interchangeable(a, b);
 }
 
 std::vector<std::vector<int>>
 groupInterchangeableBlocks(const CpModel &model,
                            const std::vector<VarBlock> &blocks)
 {
+    SwapChecker checker(model);
     std::vector<std::vector<int>> chains;
     for (int i = 0; i < static_cast<int>(blocks.size()); ++i) {
         bool placed = false;
         for (auto &chain : chains) {
-            if (blocksInterchangeable(model, blocks[chain.back()],
-                                      blocks[i])) {
+            if (checker.interchangeable(blocks[chain.back()],
+                                        blocks[i])) {
                 chain.push_back(i);
                 placed = true;
                 break;

@@ -54,8 +54,10 @@ struct VarBlock
  * Exact interchangeability check: true iff swapping the blocks
  * position-wise maps the model onto itself (equal per-position
  * domains and objective coefficients, and the swapped constraint and
- * implication multisets equal the originals). Overlapping or
- * length-mismatched blocks are never interchangeable.
+ * implication multisets equal the originals). Rows that mention
+ * neither block are fixed by the swap, so only the rows watching a
+ * block variable are compared. Overlapping or length-mismatched
+ * blocks are never interchangeable.
  */
 bool blocksInterchangeable(const CpModel &model, const VarBlock &a,
                            const VarBlock &b);
@@ -65,7 +67,8 @@ bool blocksInterchangeable(const CpModel &model, const VarBlock &a,
  * chains: each block is appended to the first group whose last member
  * it is interchangeable with, preserving input order, so consecutive
  * group members are verified pairs. Only groups of two or more blocks
- * are returned (singletons carry no symmetry).
+ * are returned (singletons carry no symmetry). The per-model state of
+ * the check (objective vector, permutation) is built once.
  */
 std::vector<std::vector<int>>
 groupInterchangeableBlocks(const CpModel &model,

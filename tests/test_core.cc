@@ -664,6 +664,157 @@ TEST(LcOpg, DefaultPlannerMatchesGoldenPlansAndCounters)
     }
 }
 
+// ------------------------------------------ solve reuse across budgets
+
+namespace {
+
+/** Every PlanStats counter a replayed round must leave unchanged
+ * (all but reusedRounds and the wall-clock timings). */
+void
+expectSameCounters(const PlanStats &want, const PlanStats &got)
+{
+    EXPECT_EQ(want.overallStatus, got.overallStatus);
+    EXPECT_EQ(want.windows, got.windows);
+    EXPECT_EQ(want.optimalWindows, got.optimalWindows);
+    EXPECT_EQ(want.feasibleWindows, got.feasibleWindows);
+    EXPECT_EQ(want.softRelaxations, got.softRelaxations);
+    EXPECT_EQ(want.forcedPreloads, got.forcedPreloads);
+    EXPECT_EQ(want.greedyWindows, got.greedyWindows);
+    EXPECT_EQ(want.timeLimitedWindows, got.timeLimitedWindows);
+    EXPECT_EQ(want.rebalancedChunks, got.rebalancedChunks);
+    EXPECT_EQ(want.rebalancedWeights, got.rebalancedWeights);
+    EXPECT_EQ(want.solverDecisions, got.solverDecisions);
+    EXPECT_EQ(want.solverRestarts, got.solverRestarts);
+    EXPECT_EQ(want.memoHits, got.memoHits);
+    EXPECT_EQ(want.memoStores, got.memoStores);
+    EXPECT_EQ(want.solverPropagations, got.solverPropagations);
+    EXPECT_EQ(want.solverConflicts, got.solverConflicts);
+    EXPECT_EQ(want.symmetryRows, got.symmetryRows);
+    ASSERT_EQ(want.windowSummaries.size(), got.windowSummaries.size());
+    for (std::size_t i = 0; i < want.windowSummaries.size(); ++i) {
+        const auto &a = want.windowSummaries[i];
+        const auto &b = got.windowSummaries[i];
+        SCOPED_TRACE("window " + std::to_string(i));
+        EXPECT_EQ(a.status, b.status);
+        EXPECT_EQ(a.usedGreedy, b.usedGreedy);
+        EXPECT_EQ(a.decisions, b.decisions);
+        EXPECT_EQ(a.propagations, b.propagations);
+        EXPECT_EQ(a.conflicts, b.conflicts);
+        EXPECT_EQ(a.restarts, b.restarts);
+        EXPECT_EQ(a.stopReason, b.stopReason);
+    }
+}
+
+} // namespace
+
+TEST(SolveReuse, ZooWindowRecordsReplayExactly)
+{
+    // Real window models: plan zoo models at four budgets, each on its
+    // own memo, and keep every round as a record. Wherever a record
+    // from one budget claims to replay a round of another, that
+    // round's own (fresh) solve must match it bit for bit.
+    KernelModel km(DeviceProfile::onePlus12());
+    profiler::AnalyticCapacityProvider cap(km);
+    int hits = 0, moved_hits = 0;
+    for (auto id : {models::ModelId::ResNet50, models::ModelId::ViT,
+                    models::ModelId::GPTNeoS}) {
+        const auto g = models::buildModel(id);
+        std::vector<std::vector<solver::SolveRecord>> by_budget;
+        for (double share : {1.0, 0.5, 0.25, 0.1}) {
+            PlanMemo memo(1024);
+            OpgParams params;
+            params.memo = &memo;
+            params.mPeak = static_cast<Bytes>(
+                share * static_cast<double>(OpgParams{}.mPeak));
+            LcOpgPlanner(g, cap, km, params).plan();
+            by_budget.push_back(memo.solveRecords());
+            ASSERT_FALSE(by_budget.back().empty());
+        }
+        for (std::size_t i = 0; i < by_budget.size(); ++i) {
+            for (std::size_t j = 0; j < by_budget.size(); ++j) {
+                if (i == j)
+                    continue;
+                for (const auto &a : by_budget[i]) {
+                    for (const auto &b : by_budget[j]) {
+                        if (!solver::replaysRecord(a, b.model, b.hint,
+                                                   b.params))
+                            continue;
+                        ++hits;
+                        moved_hits += a.model.fingerprint() !=
+                                      b.model.fingerprint();
+                        const auto &want = a.result;
+                        const auto &got = b.result;
+                        EXPECT_EQ(want.status, got.status);
+                        EXPECT_EQ(want.stopReason, got.stopReason);
+                        EXPECT_EQ(want.values, got.values);
+                        EXPECT_EQ(want.objective, got.objective);
+                        EXPECT_EQ(want.decisions, got.decisions);
+                        EXPECT_EQ(want.propagations, got.propagations);
+                        EXPECT_EQ(want.backtracks, got.backtracks);
+                        EXPECT_EQ(want.restarts, got.restarts);
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_GT(moved_hits, 0) << hits << " hits";
+}
+
+TEST(LcOpg, ReplanReuseMatchesColdReplans)
+{
+    // A 50/25/10% replan ladder on one shared memo replays solves kept
+    // from the compile and the earlier rungs. Against it, each rung
+    // reruns on a fresh memo loaded from the shared memo's file: the
+    // same incumbents, but no solve records (they are never saved), so
+    // only rounds of the replan itself can be replayed. Plans and
+    // every counter must agree. A rung where either arm hit the
+    // wall-clock backstop (slow sanitizer builds) is host-dependent
+    // by design and is not compared.
+    KernelModel km(DeviceProfile::onePlus12());
+    profiler::AnalyticCapacityProvider cap(km);
+    const auto path = testing::TempDir() + "flashmem_memo_reuse.bin";
+    int warm_reused = 0, cold_reused = 0, compared = 0;
+    for (auto id : {models::ModelId::ResNet50, models::ModelId::ViT,
+                    models::ModelId::DepthAnythingS}) {
+        const auto g = models::buildModel(id);
+        PlanMemo shared(1024);
+        OpgParams params;
+        params.memo = &shared;
+        LcOpgPlanner ladder(g, cap, km, params);
+        ladder.plan();
+        for (double share : {0.5, 0.25, 0.1}) {
+            const auto budget = static_cast<Bytes>(
+                share * static_cast<double>(params.mPeak));
+            ASSERT_TRUE(shared.saveToFile(path));
+            PlanMemo fresh(1024);
+            ASSERT_TRUE(fresh.loadFromFile(path));
+            ASSERT_EQ(fresh.solveRecordCount(), 0u);
+
+            PlanStats warm_stats;
+            const auto warm = ladder.replan(budget, &warm_stats);
+            OpgParams cold_params = params;
+            cold_params.memo = &fresh;
+            PlanStats cold_stats;
+            const auto cold = LcOpgPlanner(g, cap, km, cold_params)
+                                  .replan(budget, &cold_stats);
+            if (warm_stats.timeLimitedWindows ||
+                cold_stats.timeLimitedWindows)
+                continue;
+            SCOPED_TRACE(models::modelSpec(id).abbr + " share " +
+                         std::to_string(share));
+            EXPECT_EQ(warm.serialize(), cold.serialize());
+            expectSameCounters(cold_stats, warm_stats);
+            warm_reused += warm_stats.reusedRounds;
+            cold_reused += cold_stats.reusedRounds;
+            ++compared;
+        }
+    }
+    std::remove(path.c_str());
+    if (compared == 0)
+        GTEST_SKIP() << "every rung hit the wall-clock backstop";
+    EXPECT_GT(warm_reused, cold_reused);
+}
+
 // ------------------------------------------------ PlanMemo persistence
 
 namespace {
@@ -951,11 +1102,86 @@ TEST(LcOpg, MemoBytesIndependentOfThreadCount)
     }
 }
 
+namespace {
+
+/** A one-variable record whose domain, and so whose shape, encodes
+ * @p key, with the key echoed in its result values. */
+solver::SolveRecord
+keyedRecord(std::int64_t key)
+{
+    solver::SolveRecord rec;
+    const auto v = rec.model.newIntVar(0, key);
+    rec.model.addLessOrEqual({{v, 1}}, key);
+    rec.hint = {0};
+    rec.params.maxDecisions = 1;
+    rec.result.status = solver::SolveStatus::Feasible;
+    rec.result.stopReason = solver::StopReason::DecisionLimit;
+    rec.result.values = {key};
+    rec.result.wallSeconds = 1.0;
+    return rec;
+}
+
+} // namespace
+
+TEST(PlanMemo, SolveRecordsAreBoundedLruAndMemoryOnly)
+{
+    const std::size_t cap = PlanMemo::kSolveRecords;
+    PlanMemo memo(8), plain(8);
+    memo.store(1, {7}, 7);
+    plain.store(1, {7}, 7);
+    for (std::size_t k = 0; k < cap; ++k)
+        ASSERT_TRUE(memo.storeSolve(keyedRecord(k)));
+    EXPECT_EQ(memo.solveRecordCount(), cap);
+
+    // A use refreshes recency, so the next store evicts key 1, the
+    // least recently used, instead of key 0.
+    auto probe = keyedRecord(0);
+    auto hit = memo.findSolve(probe.model, probe.hint, probe.params);
+    ASSERT_TRUE(hit.has_value());
+    EXPECT_EQ(hit->values, probe.result.values);
+    EXPECT_EQ(hit->wallSeconds, 0.0); // no search ran
+    ASSERT_TRUE(memo.storeSolve(keyedRecord(cap)));
+    EXPECT_EQ(memo.solveRecordCount(), cap);
+    for (std::int64_t k : {0, 1, 2}) {
+        auto rec = keyedRecord(k);
+        EXPECT_EQ(memo.findSolve(rec.model, rec.hint, rec.params)
+                      .has_value(),
+                  k != 1)
+            << "key " << k;
+    }
+
+    // Wall-clock-stopped solves are refused outright.
+    auto timed = keyedRecord(cap + 1);
+    timed.result.stopReason = solver::StopReason::TimeLimit;
+    EXPECT_FALSE(memo.storeSolve(timed));
+
+    // Records never reach the memo file, nor touch incumbent stats.
+    const auto with = tempMemoPath("records_with");
+    const auto without = tempMemoPath("records_without");
+    ASSERT_TRUE(memo.saveToFile(with));
+    ASSERT_TRUE(plain.saveToFile(without));
+    auto bytes = [](const std::string &path) {
+        std::ifstream in(path, std::ios::binary);
+        return std::string((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+    };
+    EXPECT_EQ(bytes(with), bytes(without));
+    EXPECT_EQ(memo.stats().hits, plain.stats().hits);
+    std::remove(with.c_str());
+    std::remove(without.c_str());
+
+    memo.clear();
+    EXPECT_EQ(memo.solveRecordCount(), 0u);
+}
+
 TEST(PlanMemo, ConcurrentHammer)
 {
     PlanMemo memo(32); // small: forces LRU eviction under contention
     constexpr int kThreads = 8;
     constexpr int kOpsPerThread = 4000;
+    // More record keys than record slots: record stores evict too.
+    constexpr std::int64_t kRecordKeys =
+        static_cast<std::int64_t>(PlanMemo::kSolveRecords) + 64;
     // FMLINT(allow:cross-thread-state) test-only failure latch: writers only ever increment, final zero-check is order-independent
     std::atomic<std::uint64_t> corrupt{0};
 
@@ -966,19 +1192,32 @@ TEST(PlanMemo, ConcurrentHammer)
             for (int i = 0; i < kOpsPerThread; ++i) {
                 auto fp = static_cast<std::uint64_t>(
                     rng.uniformInt(0, 99));
-                if (rng.uniform() < 0.5) {
+                const double op = rng.uniform();
+                if (op < 0.35) {
                     // The value encodes its key, so readers can check
                     // they never observe torn or misfiled entries.
                     std::int64_t obj = rng.uniformInt(0, 1000);
                     memo.store(fp,
                                {static_cast<std::int64_t>(fp), obj},
                                obj);
-                } else {
+                } else if (op < 0.7) {
                     auto v = memo.lookup(fp);
                     if (v && (v->size() != 2 ||
                               (*v)[0] !=
                                   static_cast<std::int64_t>(fp)))
                         ++corrupt;
+                } else {
+                    // Solve records interleaved with the incumbents:
+                    // a replayed result must be its own key's.
+                    const auto key = rng.uniformInt(0, kRecordKeys - 1);
+                    auto rec = keyedRecord(key);
+                    if (op < 0.85) {
+                        memo.storeSolve(std::move(rec));
+                    } else if (auto r = memo.findSolve(
+                                   rec.model, rec.hint, rec.params);
+                               r && r->values != rec.result.values) {
+                        ++corrupt;
+                    }
                 }
             }
         });
@@ -988,6 +1227,7 @@ TEST(PlanMemo, ConcurrentHammer)
 
     EXPECT_EQ(corrupt.load(), 0u);
     EXPECT_LE(memo.size(), 32u);
+    EXPECT_EQ(memo.solveRecordCount(), PlanMemo::kSolveRecords);
     auto stats = memo.stats();
     EXPECT_GT(stats.stores, 0u);
     EXPECT_GT(stats.evictions, 0u);
@@ -999,6 +1239,9 @@ TEST(PlanMemo, ConcurrentHammer)
             EXPECT_EQ((*v)[0], static_cast<std::int64_t>(fp));
         }
     }
+    for (const auto &rec : memo.solveRecords())
+        EXPECT_EQ(rec.result.values,
+                  std::vector<std::int64_t>{rec.model.upperBound(0)});
 }
 
 // ----------------------------------------------------------------- Fusion

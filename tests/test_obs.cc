@@ -61,14 +61,15 @@ TEST(TraceRecorder, ServingStreamExcludesPlannerEvents)
     rec.replan(0, static_cast<std::int32_t>(ModelId::ViT), mib(256),
                0, 3);
     rec.solverWindow(0, 0, static_cast<std::int32_t>(ModelId::ViT),
-                     1, 2, 3, 1, /*stop_reason=*/1);
+                     1, 2, 3, 1, /*stop_reason=*/1, /*reused_rounds=*/2);
     rec.requestShed(0, 7, static_cast<std::int32_t>(ModelId::ViT),
                     /*reason=*/0, /*attempts=*/0);
 
     auto full = rec.text(Stream::Full);
     EXPECT_NE(full.find("replan"), std::string::npos);
     EXPECT_NE(full.find("solver_window"), std::string::npos);
-    EXPECT_NE(full.find("proven_optimal=1 stop=decision_limit\n"),
+    EXPECT_NE(full.find("proven_optimal=1 stop=decision_limit "
+                        "reused=2\n"),
               std::string::npos)
         << full;
 
@@ -96,7 +97,7 @@ TEST(TraceRecorder, ChromeJsonHasTracksAndBalancedBraces)
     rec.replan(0, static_cast<std::int32_t>(ModelId::ResNet50),
                mib(256), 0, 2);
     rec.solverWindow(0, 3, static_cast<std::int32_t>(ModelId::ResNet50),
-                     4, 0, 9, 0, /*stop_reason=*/2);
+                     4, 0, 9, 0, /*stop_reason=*/2, /*reused_rounds=*/5);
 
     std::ostringstream os;
     rec.writeChromeJson(os);
@@ -110,11 +111,16 @@ TEST(TraceRecorder, ChromeJsonHasTracksAndBalancedBraces)
     EXPECT_NE(json.find("dev 0 dma"), std::string::npos);
     EXPECT_NE(json.find("\"planner\""), std::string::npos);
     EXPECT_NE(json.find("\"requests\""), std::string::npos);
-    // The window's stop reason rides as a Perfetto arg.
+    // The window's stop reason and reused-round count ride as
+    // Perfetto args.
     EXPECT_NE(json.find("\"name\":\"window 3 (conflicts=4)\","
-                        "\"args\":{\"stop\":\"time_limit\"}"),
+                        "\"args\":{\"stop\":\"time_limit\","
+                        "\"reused\":5}"),
               std::string::npos)
         << json;
+    // The reused count shares the device slot but opens no track:
+    // only device 0 is laid out.
+    EXPECT_EQ(json.find("dev 5"), std::string::npos) << json;
     // Async request lane: begin and end with a shared id.
     EXPECT_NE(json.find("\"ph\":\"b\""), std::string::npos);
     EXPECT_NE(json.find("\"ph\":\"e\""), std::string::npos);
@@ -228,6 +234,8 @@ TEST(TraceDeterminism, SchedulerTraceIdenticalAcrossPlannerThreads)
     ASSERT_NE(text1.find("solver_window"), std::string::npos);
     ASSERT_NE(text1.find(" stop="), std::string::npos);
     ASSERT_NE(text1.find("request_dispatch"), std::string::npos);
+    // Some re-plan rounds replay a kept solve record, and say so.
+    EXPECT_NE(text1.find(" reused=1\n"), std::string::npos) << text1;
 
     // Byte-identical export for any planner thread count.
     EXPECT_EQ(text1, rec4.text());

@@ -7,11 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
+#include "common/rng.hh"
 #include "core/lc_opg.hh"
 #include "graph/builder.hh"
+#include "models/model_zoo.hh"
 #include "solver/model.hh"
 #include "solver/solver.hh"
 #include "solver/symmetry.hh"
@@ -191,6 +194,160 @@ TEST(SymmetryTest, CanonicalizedHintSatisfiesLexRows)
     EXPECT_TRUE(f.model.satisfiedBy(hint));
 }
 
+// ------------------------------------- row-local verification oracle
+
+/**
+ * The whole-model interchangeability check: encode every row and
+ * implication under the swap and under the identity and compare the
+ * sorted multisets. blocksInterchangeable() encodes only the rows that
+ * touch the two blocks; its verdicts must equal this one's.
+ */
+bool
+wholeModelInterchangeable(const CpModel &model, const VarBlock &a,
+                          const VarBlock &b)
+{
+    if (a.vars.size() != b.vars.size() || a.vars.empty())
+        return false;
+    std::vector<VarId> perm(model.varCount());
+    for (std::size_t v = 0; v < perm.size(); ++v)
+        perm[v] = static_cast<VarId>(v);
+    for (std::size_t i = 0; i < a.vars.size(); ++i) {
+        const VarId av = a.vars[i], bv = b.vars[i];
+        if (av == bv || perm[av] != av || perm[bv] != bv)
+            return false;
+        perm[av] = bv;
+        perm[bv] = av;
+    }
+    std::vector<std::int64_t> obj(model.varCount(), 0);
+    for (const LinearTerm &t : model.objective())
+        obj[t.var] += t.coef;
+    for (std::size_t i = 0; i < a.vars.size(); ++i) {
+        const VarId av = a.vars[i], bv = b.vars[i];
+        if (model.lowerBound(av) != model.lowerBound(bv) ||
+            model.upperBound(av) != model.upperBound(bv) ||
+            obj[av] != obj[bv])
+            return false;
+    }
+    auto rows = [&](bool swap) {
+        auto name = [&](VarId v) { return swap ? perm[v] : v; };
+        std::vector<std::vector<std::int64_t>> out;
+        for (const auto &c : model.constraints()) {
+            std::vector<std::pair<VarId, std::int64_t>> terms;
+            for (const auto &t : c.terms)
+                terms.emplace_back(name(t.var), t.coef);
+            std::sort(terms.begin(), terms.end());
+            std::vector<std::int64_t> flat{0};
+            for (const auto &[v, coef] : terms) {
+                flat.push_back(v);
+                flat.push_back(coef);
+            }
+            flat.push_back(c.lo);
+            flat.push_back(c.hi);
+            out.push_back(std::move(flat));
+        }
+        for (const auto &i : model.implications())
+            out.push_back({1, name(i.x), i.xThreshold, name(i.y),
+                           i.yBound});
+        std::sort(out.begin(), out.end());
+        return out;
+    };
+    return rows(true) == rows(false);
+}
+
+/** groupInterchangeableBlocks() spelled out over the oracle. */
+std::vector<std::vector<int>>
+wholeModelGroups(const CpModel &model, const std::vector<VarBlock> &blocks)
+{
+    std::vector<std::vector<int>> chains;
+    for (int i = 0; i < static_cast<int>(blocks.size()); ++i) {
+        bool placed = false;
+        for (auto &chain : chains) {
+            if (wholeModelInterchangeable(model, blocks[chain.back()],
+                                          blocks[i])) {
+                chain.push_back(i);
+                placed = true;
+                break;
+            }
+        }
+        if (!placed)
+            chains.push_back({i});
+    }
+    std::vector<std::vector<int>> groups;
+    for (auto &chain : chains)
+        if (chain.size() >= 2)
+            groups.push_back(std::move(chain));
+    return groups;
+}
+
+/** Pairwise verdicts and the grouping both match the oracle. */
+void
+expectMatchesOracle(const CpModel &model,
+                    const std::vector<VarBlock> &blocks)
+{
+    for (std::size_t i = 0; i < blocks.size(); ++i) {
+        for (std::size_t j = 0; j < blocks.size(); ++j) {
+            EXPECT_EQ(blocksInterchangeable(model, blocks[i], blocks[j]),
+                      wholeModelInterchangeable(model, blocks[i],
+                                                blocks[j]))
+                << "blocks " << i << ", " << j;
+        }
+    }
+    EXPECT_EQ(groupInterchangeableBlocks(model, blocks),
+              wholeModelGroups(model, blocks));
+}
+
+TEST(SymmetryTest, RowLocalVerdictsMatchWholeModelOracleOnRandomModels)
+{
+    // Symmetric windows with random extra rows and implications: some
+    // pin one block, some tie two blocks symmetrically (the swap maps
+    // them onto themselves), some tie them asymmetrically.
+    Rng rng(77);
+    int symmetric_pairs = 0;
+    for (int trial = 0; trial < 200; ++trial) {
+        auto w = symmetricWindow(static_cast<int>(rng.uniformInt(3, 6)),
+                                 static_cast<int>(rng.uniformInt(1, 3)),
+                                 rng.uniformInt(1, 3),
+                                 rng.uniformInt(1, 4));
+        const auto nblocks = static_cast<std::int64_t>(w.blocks.size());
+        const auto width =
+            static_cast<std::int64_t>(w.blocks[0].vars.size());
+        auto pick = [&](std::int64_t blk, std::int64_t pos) {
+            return w.blocks[blk].vars[pos];
+        };
+        const int extras = static_cast<int>(rng.uniformInt(0, 3));
+        for (int e = 0; e < extras; ++e) {
+            const auto a = rng.uniformInt(0, nblocks - 1);
+            const auto b = rng.uniformInt(0, nblocks - 1);
+            const auto pos = rng.uniformInt(0, width - 2);
+            switch (rng.uniformInt(0, 3)) {
+              case 0:
+                w.model.addLessOrEqual({{pick(a, pos), 1}},
+                                       rng.uniformInt(0, 3));
+                break;
+              case 1:
+                w.model.addLessOrEqual(
+                    {{pick(a, pos), 1}, {pick(b, pos), 1}},
+                    rng.uniformInt(1, 4));
+                break;
+              case 2:
+                w.model.addLessOrEqual(
+                    {{pick(a, pos), 2}, {pick(b, pos), 1}},
+                    rng.uniformInt(1, 4));
+                break;
+              default:
+                w.model.addImplicationGeLe(pick(a, pos), 1,
+                                           pick(b, pos + 1), 1);
+                break;
+            }
+        }
+        SCOPED_TRACE("trial " + std::to_string(trial));
+        expectMatchesOracle(w.model, w.blocks);
+        for (const auto &g : groupInterchangeableBlocks(w.model, w.blocks))
+            symmetric_pairs += static_cast<int>(g.size()) - 1;
+    }
+    EXPECT_GT(symmetric_pairs, 100);
+}
+
 } // namespace
 } // namespace flashmem::solver
 
@@ -246,6 +403,46 @@ TEST(SymmetryTest, LcOpgSymmetryBreakingPreservesPlans)
     EXPECT_GT(s_on.symmetryRows, 0);
     EXPECT_EQ(s_off.symmetryRows, 0);
     EXPECT_EQ(plan_on, plan_off);
+}
+
+TEST(SymmetryTest, RowLocalVerdictsMatchWholeModelOracleOnZooWindows)
+{
+    // Real window models, kept as solve records by a plan without
+    // symmetry rows. Each weight's block is [y, x..., z]: y is named
+    // "<weight>.preload", the x are unnamed, z is "<weight>.z".
+    KernelModel km(DeviceProfile::onePlus12());
+    profiler::AnalyticCapacityProvider cap(km);
+    int windows = 0, grouped = 0;
+    for (auto id : {models::ModelId::ViT, models::ModelId::GPTNeoS}) {
+        PlanMemo memo(1024);
+        OpgParams params;
+        params.memo = &memo;
+        params.symmetryBreaking = false;
+        LcOpgPlanner(models::buildModel(id), cap, km, params).plan();
+        for (const auto &rec : memo.solveRecords()) {
+            const auto &m = rec.model;
+            std::vector<solver::VarBlock> blocks;
+            auto endsWith = [](const std::string &s, const char *tail) {
+                const std::string t(tail);
+                return s.size() >= t.size() &&
+                       s.compare(s.size() - t.size(), t.size(), t) == 0;
+            };
+            for (solver::VarId v = 0;
+                 v < static_cast<solver::VarId>(m.varCount()); ++v) {
+                if (endsWith(m.varName(v), ".preload"))
+                    blocks.emplace_back();
+                blocks.back().vars.push_back(v);
+            }
+            SCOPED_TRACE(models::modelSpec(id).abbr + " window " +
+                         std::to_string(windows));
+            solver::expectMatchesOracle(m, blocks);
+            grouped += !solver::groupInterchangeableBlocks(m, blocks)
+                            .empty();
+            ++windows;
+        }
+    }
+    EXPECT_GT(windows, 0);
+    EXPECT_GT(grouped, 0);
 }
 
 } // namespace

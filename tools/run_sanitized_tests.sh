@@ -12,7 +12,9 @@
 #   With no argument both address and thread run ('all'), followed by
 #   a focused standalone-UBSan pass over the symmetry tests (the
 #   lex-row leader functions multiply saturating positional weights
-#   into int64 sums, the solver's closest brush with overflow). The
+#   into int64 sums, the solver's closest brush with overflow) and the
+#   solve-reuse tests (the replay certificate adds row spans to
+#   recorded sums under overflow checks). The
 #   address build already folds UBSan in, so 'undefined' is the
 #   standalone UBSan build for isolating alignment/overflow reports
 #   from ASan noise. Extra ctest arguments
@@ -61,9 +63,9 @@ case "$requested" in
     all)
         run_one address
         run_one thread
-        # Focused UBSan arm: the symmetry lex rows, alone, under the
-        # standalone UBSan build.
-        run_one undefined -R Symmetry
+        # Focused UBSan arm: the symmetry lex rows and the solve-reuse
+        # certificates, alone, under the standalone UBSan build.
+        run_one undefined -R 'Symmetry|SolveReuse|ReplanReuse'
         ;;
     *)  echo "usage: $0 [address|thread|undefined]" >&2; exit 2 ;;
 esac
