@@ -73,7 +73,7 @@ runDeterminismCheck()
         /*iterations=*/2, /*gap=*/milliseconds(10), /*seed=*/17);
 
     auto run_arm = [&](int threads) {
-        core::PlanMemo memo(1024);
+        core::PlanMemo memo;
         core::FlashMemOptions opt;
         opt.opg.parallel.threads = threads;
         opt.opg.memo = &memo;
@@ -93,7 +93,7 @@ runDeterminismCheck()
     std::cout << "scheduler determinism (threads 1 vs 4): "
               << (identical ? "identical" : "DIVERGED") << ", "
               << t1.replans << " re-plans ("
-              << t1.replanMemoHits << " memo hits, "
+              << t1.replanMemoHits << " reused rounds, "
               << formatDouble(t1.replanSeconds, 3) << " s)\n";
     std::cout << "re-planning exercised: "
               << (replanned ? "yes" : "NO") << "\n";

@@ -688,7 +688,7 @@ exportFaultCounters(const multidnn::FaultCounters &fc,
 int
 runTraceExport(const char *path)
 {
-    core::PlanMemo memo(1024);
+    core::PlanMemo memo;
     auto arm = calibrateArm(memo, ThreadPool::defaultThreadCount());
     const double qps =
         kAdmissionOverload * arm.capacityQps * kFaultDevices;
@@ -859,7 +859,7 @@ runObsStudy(const Arm &arm)
 int
 runObsOnly(const char *path)
 {
-    core::PlanMemo memo(1024);
+    core::PlanMemo memo;
     auto arm =
         calibrateArm(memo, ThreadPool::defaultThreadCount());
     auto [ok, json] = runObsStudy(arm);
@@ -916,7 +916,7 @@ int
 runShardingDeterminismCheck()
 {
     auto run_study = [&](int threads) {
-        core::PlanMemo memo(1024);
+        core::PlanMemo memo;
         auto arm = calibrateArm(memo, threads);
         ThreadPool pool(threads);
         return runShardingStudy(arm, pool, /*sweep_requests=*/50000,
@@ -951,7 +951,7 @@ runShardingDeterminismCheck()
 int
 runAdmissionOnly(const char *path)
 {
-    core::PlanMemo memo(1024);
+    core::PlanMemo memo;
     int threads = ThreadPool::defaultThreadCount();
     auto arm = calibrateArm(memo, threads);
     auto study = runAdmissionStudy(arm, memo, threads);
@@ -971,7 +971,7 @@ int
 runDeterminismCheck()
 {
     auto run_arm = [&](int threads) {
-        core::PlanMemo memo(1024);
+        core::PlanMemo memo;
         auto arm = calibrateArm(memo, threads);
         ThreadPool pool(threads);
         return runArm(arm, pool, kHeadlineRequests,
@@ -1026,7 +1026,7 @@ main(int argc, char **argv)
     printHeading(std::cout,
                  "Serving harness: 1M-request capacity study");
 
-    core::PlanMemo memo(1024);
+    core::PlanMemo memo;
     auto arm = calibrateArm(memo, ThreadPool::defaultThreadCount());
 
     std::cout << "calibrated capacity "

@@ -23,13 +23,6 @@ ThreadPool::~ThreadPool()
         w.join();
 }
 
-std::size_t
-ThreadPool::pendingTasks() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return queue_.size() + inFlight_;
-}
-
 int
 ThreadPool::defaultThreadCount()
 {
@@ -61,7 +54,6 @@ ThreadPool::workerLoop()
                 return;
             job = std::move(queue_.front());
             queue_.pop();
-            ++inFlight_;
         }
         // submit() wraps tasks in a packaged_task, which captures the
         // task's exception into its future — the waiter rethrows it on
@@ -72,10 +64,6 @@ ThreadPool::workerLoop()
         try {
             job();
         } catch (...) {
-        }
-        {
-            std::lock_guard<std::mutex> lock(mu_);
-            --inFlight_;
         }
     }
 }

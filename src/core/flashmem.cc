@@ -59,12 +59,8 @@ FlashMem::compile(const graph::Graph &model) const
         LcOpgPlanner planner(out.fusedGraph, capacity_, kernel_model_,
                              options_.opg);
         out.plan = planner.plan(&out.stats);
-        // Rounds whose windows reuse memoised incumbents (splits leave
-        // most of the model untouched) show up as planMemoHits.
         out.totalSolveSeconds += out.stats.solveSeconds;
         out.totalSolverDecisions += out.stats.solverDecisions;
-        out.planMemoHits += out.stats.memoHits;
-        out.planMemoStores += out.stats.memoStores;
 
         if (!options_.adaptiveFusion ||
             round == options_.maxFusionRounds)
@@ -150,8 +146,6 @@ FlashMem::replan(const CompiledModel &compiled, Bytes mPeak) const
     out.plan = planner.replan(mPeak, &out.stats);
     out.totalSolveSeconds = out.stats.solveSeconds;
     out.totalSolverDecisions = out.stats.solverDecisions;
-    out.planMemoHits = out.stats.memoHits;
-    out.planMemoStores = out.stats.memoStores;
 
     KernelRewriter rewriter(out.fusedGraph, out.plan,
                             options_.kernelRewriting);

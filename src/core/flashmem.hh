@@ -67,8 +67,6 @@ struct CompiledModel
     /** @name Aggregates across all adaptive-fusion rounds. @{ */
     double totalSolveSeconds = 0.0;
     std::uint64_t totalSolverDecisions = 0;
-    std::uint64_t planMemoHits = 0;   ///< warm starts reused from memo
-    std::uint64_t planMemoStores = 0;
     /** @} */
 
     /** Fraction of weight bytes streamed rather than preloaded. */
@@ -94,8 +92,8 @@ class FlashMem
      * overlap plan is solved under @p mPeak instead of the budget it
      * shipped with. The fused graph is reused as-is (fusion decisions
      * are budget-independent, so the adaptive-fusion loop is skipped)
-     * and window solves go through the configured PlanMemo: warm
-     * starts, and replays of kept solves the new budget cannot reach
+     * and window solves go through the configured PlanMemo, which
+     * replays kept solves the new budget cannot reach
      * (LcOpgPlanner::replan gives the measured cost). Repeated budget
      * shifts — the multi-DNN scheduler admitting/evicting co-resident
      * models — are cheap and bit-deterministic for any thread count.

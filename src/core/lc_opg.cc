@@ -331,9 +331,7 @@ LcOpgPlanner::buildWindowModel(const WindowInput &in, double relax,
     m.minimize(objective);
 
     // Symmetry breaking: group verified-interchangeable weight blocks
-    // (y, x..., z) and chain them with leader-function orderings. Runs
-    // before the memo fingerprint so cached incumbents are keyed to —
-    // and therefore satisfy — the symmetry-broken model.
+    // (y, x..., z) and chain them with leader-function orderings.
     if (params_.symmetryBreaking) {
         std::vector<solver::VarBlock> blocks(weights.size());
         for (std::size_t k = 0; k < weights.size(); ++k) {
@@ -351,22 +349,6 @@ LcOpgPlanner::buildWindowModel(const WindowInput &in, double relax,
         }
     }
 
-    // Plan memo: a previously solved window with this exact model
-    // reuses its incumbent as the warm start, which is at least as
-    // good as the greedy hint. Validation guards against fingerprint
-    // collisions: an entry that does not satisfy this model is
-    // ignored, keeping the greedy hint. Lookups see only pre-plan()
-    // memo state (stores from this plan are buffered until the
-    // ordered merge), so window results cannot depend on solve
-    // completion order.
-    if (params_.planMemo) {
-        rm.fingerprint = m.fingerprint();
-        auto cached = memoRef().lookup(rm.fingerprint);
-        if (cached && m.satisfiedBy(*cached)) {
-            hint = std::move(*cached);
-            rm.memoHit = true;
-        }
-    }
     rm.buildSeconds = secondsSince(build_t0);
     return rm;
 }
@@ -380,8 +362,6 @@ LcOpgPlanner::interpretRound(WindowSolveState &st,
 
     result.buildSeconds += st.rm.buildSeconds;
     result.lexRows += st.rm.lexRows;
-    if (st.rm.memoHit)
-        ++result.memoHits;
     if (st.rm.reused)
         ++result.reusedRounds;
     result.solveSeconds += r.wallSeconds;
@@ -392,10 +372,6 @@ LcOpgPlanner::interpretRound(WindowSolveState &st,
     result.status = r.status;
     if (result.stopReason != solver::StopReason::TimeLimit)
         result.stopReason = r.stopReason;
-
-    if (params_.planMemo && r.feasible())
-        st.out.memoStores.push_back(
-            {st.rm.fingerprint, r.values, r.objective});
 
     if (!r.feasible()) {
         // Tier 1: soft-threshold relaxation of C_l.
@@ -476,8 +452,8 @@ LcOpgPlanner::applyGreedy(const WindowInput &in, WindowOutput &out) const
 }
 
 void
-LcOpgPlanner::commitWindow(const WindowInput &in, WindowOutput &out,
-                           OverlapPlan &plan, PlanStats &stats)
+LcOpgPlanner::commitWindow(const WindowInput &in, const WindowOutput &out,
+                           OverlapPlan &plan)
 {
     const std::int64_t mpeak_chunks = static_cast<std::int64_t>(
         params_.mPeak / params_.chunkBytes);
@@ -493,7 +469,7 @@ LcOpgPlanner::commitWindow(const WindowInput &in, WindowOutput &out,
         graph::NodeId first_kept = graph::kInvalidNode;
         std::vector<std::pair<graph::NodeId, std::int64_t>> kept;
         kept.reserve(out.assign[k].size());
-        for (auto &[l, c] : out.assign[k]) {
+        for (const auto &[l, c] : out.assign[k]) {
             std::int64_t take =
                 takeAtLayer(l, w.consumer, c, mpeak_chunks,
                             residual_capacity_, inflight_used_);
@@ -517,14 +493,6 @@ LcOpgPlanner::commitWindow(const WindowInput &in, WindowOutput &out,
             plan.setEarliestLoad(wid, z);
         }
     }
-
-    // Flush buffered memo writes in window order.
-    for (auto &s : out.memoStores) {
-        if (memoRef().store(s.fingerprint, std::move(s.values),
-                            s.objective))
-            ++stats.memoStores;
-    }
-    out.memoStores.clear();
 }
 
 void
@@ -651,7 +619,6 @@ LcOpgPlanner::plan(PlanStats *stats)
         ThreadPool pool(threads);
         std::vector<WindowSolveState> states(inputs.size());
         solver::SolverParams sp;
-        sp.timeLimitSeconds = params_.solverTimePerWindow;
         sp.maxDecisions = params_.solverDecisionsPerWindow;
         sp.engine = params_.solverEngine;
         sp.restartConflictBase = params_.restartConflictBase;
@@ -662,15 +629,13 @@ LcOpgPlanner::plan(PlanStats *stats)
         // the main thread, in a thread-count-independent order.
         auto submitRound = [&](WindowSolveState &st) {
             st.rm = buildWindowModel(*st.in, st.relax, st.forced);
-            if (params_.planMemo) {
-                if (auto hit = memoRef().findSolve(st.rm.model,
-                                                   st.rm.hint, sp)) {
-                    std::promise<solver::SolveResult> ready;
-                    ready.set_value(std::move(*hit));
-                    st.solve = ready.get_future();
-                    st.rm.reused = true;
-                    return;
-                }
+            if (auto hit =
+                    memoRef().findSolve(st.rm.model, st.rm.hint, sp)) {
+                std::promise<solver::SolveResult> ready;
+                ready.set_value(std::move(*hit));
+                st.solve = ready.get_future();
+                st.rm.reused = true;
+                return;
             }
             st.solve = pool.submit([&st, sp]() {
                 return solver::CpSolver(sp).solve(st.rm.model,
@@ -705,7 +670,7 @@ LcOpgPlanner::plan(PlanStats *stats)
                 solver::SolveResult r = st.solve.get();
                 st.done = interpretRound(st, r);
                 // The round model is spent: keep it as a record.
-                if (params_.planMemo && !st.rm.reused)
+                if (!st.rm.reused)
                     memoRef().storeSolve({std::move(st.rm.model),
                                           std::move(st.rm.hint), sp,
                                           std::move(r)});
@@ -718,11 +683,11 @@ LcOpgPlanner::plan(PlanStats *stats)
     local.solveSeconds = secondsSince(solve_t0);
 
     // Phase 3 — merge: commit in window order into the plan and the
-    // authoritative ledgers (and flush the buffered memo writes).
+    // authoritative ledgers.
     // FMLINT(allow:no-wall-clock) reported PlanStats timings only; plan content never reads the clock
     auto merge_t0 = std::chrono::steady_clock::now();
     for (std::size_t i = 0; i < inputs.size(); ++i)
-        commitWindow(inputs[i], outputs[i], plan, local);
+        commitWindow(inputs[i], outputs[i], plan);
     // Second merge pass: top up budget-truncated windows from capacity
     // earlier windows reserved greedily but did not use.
     if (params_.mergeRebalance)
@@ -753,7 +718,6 @@ LcOpgPlanner::plan(PlanStats *stats)
         local.solverRestarts += wr.restarts;
         local.softRelaxations += wr.softRelaxations;
         local.forcedPreloads += wr.forcedPreloads;
-        local.memoHits += wr.memoHits;
         local.reusedRounds += wr.reusedRounds;
         if (wr.stopReason == solver::StopReason::TimeLimit)
             ++local.timeLimitedWindows;

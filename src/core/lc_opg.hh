@@ -73,11 +73,10 @@ struct OpgParams
     /**
      * CP-SAT search budget per window, in decisions. A decision-based
      * budget keeps planning bit-deterministic across hosts; the
-     * wall-clock limit below is only a backstop.
+     * solver's own wall-clock limit (SolverParams::timeLimitSeconds)
+     * stays at its default, far beyond any window at this budget.
      */
     std::uint64_t solverDecisionsPerWindow = 20000;
-    /** Wall-clock backstop per window, seconds. */
-    double solverTimePerWindow = 0.5;
     /** C4 soft-threshold relaxation factor per fallback round. */
     double softThresholdGrowth = 1.3;
     /** Fallback rounds before the greedy backup takes over a window. */
@@ -91,23 +90,11 @@ struct OpgParams
      */
     double minPreloadFraction = 0.0;
     /**
-     * Reuse prior incumbents from PlanMemo::global() as warm-start
-     * hints when a window's CP model fingerprint was seen before
-     * (capacity sweeps, multi-model workloads, adaptive-fusion
-     * re-planning). Cached hints are validated before use. Windows
-     * that solve to OPTIMAL replan byte-identically; budget-truncated
-     * windows may improve under a warm start (per-window objectives
-     * are monotonically non-increasing across repeated runs, since the
-     * cached incumbent bounds the new search). The memo also keeps
-     * every finished round as a solve record, which a later round
-     * replays bit for bit when the two differ only in row bounds that
-     * the recorded search never reached (PlanMemo::findSolve).
-     */
-    bool planMemo = true;
-    /**
-     * Memo instance to consult; nullptr means PlanMemo::global().
-     * Point this at a file-backed PlanMemo (see PlanMemo::memoPath) so
-     * CLI tools and benches warm-start across process launches.
+     * Memo of solve records to consult and fill; nullptr means
+     * PlanMemo::global(). A round whose solve a kept record replays
+     * bit for bit (it differs only in row bounds the recorded search
+     * never reached) takes the recorded result instead of searching,
+     * so the memo changes planning speed, never plans.
      */
     PlanMemo *memo = nullptr;
     /**
@@ -137,7 +124,7 @@ struct OpgParams
      * rows so the solver stops exploring permuted duplicates of the
      * same subtree (solver/symmetry.hh). Sound: the verifier proves
      * block-swap invariance exactly before any row is added, and the
-     * greedy/memo hints are canonicalized to the chosen order.
+     * greedy hint is canonicalized to the chosen order.
      */
     bool symmetryBreaking = true;
     /** Window-solve parallelism (plan stays byte-identical). */
@@ -163,8 +150,9 @@ struct PlanStats
         std::uint64_t conflicts = 0; ///< search backtracks
         std::uint64_t restarts = 0;
         /**
-         * TimeLimit when any fallback round stopped on the wall-clock
-         * backstop (the window's plan then depends on host speed);
+         * TimeLimit when any fallback round stopped on the solver's
+         * wall-clock limit (the window's plan then depends on host
+         * speed);
          * otherwise the final round's reason. Exhausted for windows
          * that never ran the solver.
          */
@@ -188,8 +176,8 @@ struct PlanStats
     int softRelaxations = 0;            ///< C4 tier-1 events
     int forcedPreloads = 0;             ///< C4 tier-2 events
     int greedyWindows = 0;              ///< C4 tier-3 events
-    /** Windows whose search stopped on the wall-clock backstop
-     * (OpgParams::solverTimePerWindow) in any fallback round. */
+    /** Windows whose search stopped on the solver's wall-clock limit
+     * (SolverParams::timeLimitSeconds) in any fallback round. */
     int timeLimitedWindows = 0;
     int threads = 1;                    ///< worker threads used to solve
     /** @name Merge-time re-balancing (second merge pass). @{ */
@@ -198,8 +186,6 @@ struct PlanStats
     /** @} */
     std::uint64_t solverDecisions = 0;
     std::uint64_t solverRestarts = 0;   ///< Luby restarts across windows
-    std::uint64_t memoHits = 0;         ///< plan-memo warm starts used
-    std::uint64_t memoStores = 0;       ///< incumbents written back
     /** Window rounds whose solve a PlanMemo solve record replayed
      * (PlanMemo::findSolve); their counters are the recorded ones. */
     int reusedRounds = 0;
@@ -233,9 +219,8 @@ class LcOpgPlanner
      * re-planning: the multi-DNN scheduler shifts a model's residual
      * capacity share when co-resident models are admitted or evicted).
      * Reuses the graph analysis of the first plan() call — only the
-     * staging/solve/merge phases re-run — and warm-starts through the
-     * configured PlanMemo. A round whose budget change cannot reach
-     * its search replays a kept solve record instead of searching
+     * staging/solve/merge phases re-run. A round whose budget change
+     * cannot reach its search replays a kept solve record instead of searching
      * (PlanStats::reusedRounds), so a replan costs about its model
      * builds when every round replays and a cold plan when none does:
      * on the model-zoo 50/25/10% ladder, 2.5-66 ms per replan, up to
@@ -263,7 +248,6 @@ class LcOpgPlanner
         std::uint64_t restarts = 0;
         double buildSeconds = 0.0;
         double solveSeconds = 0.0;
-        std::uint64_t memoHits = 0;
         int reusedRounds = 0;
         /** See PlanStats::WindowSolveSummary::stopReason. */
         solver::StopReason stopReason = solver::StopReason::Exhausted;
@@ -304,15 +288,7 @@ class LcOpgPlanner
         std::vector<std::int64_t> inflight;         // staged snapshot
     };
 
-    /** Deferred PlanMemo write (flushed in window order at merge). */
-    struct MemoStore
-    {
-        std::uint64_t fingerprint = 0;
-        std::vector<std::int64_t> values;
-        std::int64_t objective = 0;
-    };
-
-    /** Extracted window solution + stats + buffered memo writes. */
+    /** Extracted window solution + stats. */
     struct WindowOutput
     {
         WindowResult result;
@@ -320,7 +296,6 @@ class LcOpgPlanner
         std::vector<std::vector<std::pair<graph::NodeId, std::int64_t>>>
             assign;
         std::vector<graph::NodeId> z;
-        std::vector<MemoStore> memoStores;
     };
 
     /** Analyze graph: kernel specs, capacities, chunk counts. */
@@ -341,7 +316,7 @@ class LcOpgPlanner
      * One C4 fallback round's CP model, built on the driver thread:
      * the window model (C0-C3), symmetry-breaking lex rows over
      * verified-interchangeable weight blocks, and the canonicalized
-     * warm-start hint (greedy, or a validated PlanMemo incumbent).
+     * greedy warm-start hint.
      * Once built it is immutable, so a pool task can solve it while
      * the driver thread builds the next window's model.
      */
@@ -352,8 +327,6 @@ class LcOpgPlanner
         std::vector<solver::VarId> y_vars;
         std::vector<solver::VarId> z_vars; // -1 when fully preloaded
         std::vector<std::vector<solver::VarId>> x_vars;
-        std::uint64_t fingerprint = 0;
-        bool memoHit = false;
         /** The round's result came from PlanMemo::findSolve. */
         bool reused = false;
         int lexRows = 0;
@@ -404,8 +377,8 @@ class LcOpgPlanner
      * staged for it) are clamped, with the overflow moved to the
      * preload set — validity is unconditional.
      */
-    void commitWindow(const WindowInput &in, WindowOutput &out,
-                      OverlapPlan &plan, PlanStats &stats);
+    void commitWindow(const WindowInput &in, const WindowOutput &out,
+                      OverlapPlan &plan);
 
     /**
      * Second merge pass (cross-window capacity re-balancing): walk the

@@ -1,11 +1,7 @@
 #include "core/overlap_plan.hh"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <sstream>
-#include <type_traits>
 
 #include "common/logging.hh"
 #include "common/strutil.hh"
@@ -200,52 +196,13 @@ OverlapPlan::serialize() const
     return os.str();
 }
 
-std::optional<std::vector<std::int64_t>>
-PlanMemo::lookup(std::uint64_t fingerprint)
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = entries_.find(fingerprint);
-    if (it == entries_.end()) {
-        ++stats_.misses;
-        return std::nullopt;
-    }
-    ++stats_.hits;
-    it->second.lastUse = ++clock_;
-    return it->second.values;
-}
-
-bool
-PlanMemo::store(std::uint64_t fingerprint,
-                std::vector<std::int64_t> values, std::int64_t objective)
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = entries_.find(fingerprint);
-    if (it != entries_.end()) {
-        // Keep the better incumbent; refresh recency either way.
-        it->second.lastUse = ++clock_;
-        if (objective < it->second.objective) {
-            it->second.values = std::move(values);
-            it->second.objective = objective;
-            ++stats_.stores;
-            return true;
-        }
-        return false;
-    }
-    evictIfNeeded();
-    entries_[fingerprint] = {std::move(values), objective, ++clock_};
-    ++stats_.stores;
-    return true;
-}
-
 void
 PlanMemo::clear()
 {
     std::lock_guard<std::mutex> lock(mu_);
-    entries_.clear();
     stats_ = {};
-    clock_ = 0;
     solves_.clear();
-    solve_clock_ = 0;
+    clock_ = 0;
 }
 
 bool
@@ -256,8 +213,8 @@ PlanMemo::storeSolve(solver::SolveRecord record)
     const std::uint64_t shape = record.model.shapeFingerprint();
     std::lock_guard<std::mutex> lock(mu_);
     if (solves_.size() >= kSolveRecords) {
-        // Least recently used, fingerprint tie-break, as for the
-        // incumbents: the victim never depends on slot order.
+        // Least recently used, fingerprint tie-break: the victim never
+        // depends on slot order.
         auto victim = solves_.begin();
         for (auto it = solves_.begin(); it != solves_.end(); ++it) {
             if (it->lastUse < victim->lastUse ||
@@ -266,8 +223,10 @@ PlanMemo::storeSolve(solver::SolveRecord record)
                 victim = it;
         }
         solves_.erase(victim);
+        ++stats_.evictions;
     }
-    solves_.push_back({shape, ++solve_clock_, std::move(record)});
+    solves_.push_back({shape, ++clock_, std::move(record)});
+    ++stats_.stores;
     return true;
 }
 
@@ -293,32 +252,14 @@ PlanMemo::findSolve(const solver::CpModel &model,
         if (slot.shape != shape ||
             !solver::replaysRecord(slot.record, model, hint, params))
             continue;
-        slot.lastUse = ++solve_clock_;
+        slot.lastUse = ++clock_;
+        ++stats_.hits;
         solver::SolveResult r = slot.record.result;
         r.wallSeconds = 0.0;
         return r;
     }
+    ++stats_.misses;
     return std::nullopt;
-}
-
-void
-PlanMemo::evictIfNeeded()
-{
-    if (entries_.size() < capacity_)
-        return;
-    // Evict the least recently used entry (linear scan: eviction is
-    // rare and the map is small).
-    auto victim = entries_.begin();
-    for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-        // Tie-break on the fingerprint so the victim never depends on
-        // hash-table iteration order.
-        if (it->second.lastUse < victim->second.lastUse ||
-            (it->second.lastUse == victim->second.lastUse &&
-             it->first < victim->first))
-            victim = it;
-    }
-    entries_.erase(victim);
-    ++stats_.evictions;
 }
 
 PlanMemo &
@@ -326,192 +267,6 @@ PlanMemo::global()
 {
     static PlanMemo memo;
     return memo;
-}
-
-namespace {
-
-/** Magic prefix of the memo file ("FMPM"). */
-constexpr std::uint32_t kMemoMagic = 0x464D504D;
-
-template <typename T>
-void
-putPod(std::ostream &os, T value)
-{
-    // memcpy through a char buffer instead of reinterpret_cast: the
-    // same bytes, but type-safe by construction (no aliasing cast to
-    // audit at every call site).
-    static_assert(std::is_trivially_copyable_v<T>);
-    char buf[sizeof(T)];
-    std::memcpy(buf, &value, sizeof buf);
-    os.write(buf, sizeof buf);
-}
-
-template <typename T>
-bool
-getPod(std::istream &is, T &value)
-{
-    static_assert(std::is_trivially_copyable_v<T>);
-    char buf[sizeof(T)];
-    if (!is.read(buf, sizeof buf))
-        return false;
-    std::memcpy(&value, buf, sizeof buf);
-    return is.good();
-}
-
-/**
- * FNV-1a over the serialized payload (everything after magic+version).
- * The memo file lives across process lifetimes on flash, where a
- * single flipped bit in an entry body would otherwise load silently
- * and poison every warm-started plan; the checksum turns any
- * corruption into a clean cold start.
- */
-class Fnv1a
-{
-  public:
-    void
-    add(const void *data, std::size_t n)
-    {
-        const auto *p = static_cast<const unsigned char *>(data);
-        for (std::size_t i = 0; i < n; ++i) {
-            hash_ ^= p[i];
-            hash_ *= 0x100000001B3ull;
-        }
-    }
-
-    template <typename T>
-    void
-    addPod(const T &value)
-    {
-        add(&value, sizeof(value));
-    }
-
-    std::uint64_t digest() const { return hash_; }
-
-  private:
-    std::uint64_t hash_ = 0xCBF29CE484222325ull;
-};
-
-} // namespace
-
-bool
-PlanMemo::loadFromFile(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        return false;
-
-    std::uint32_t magic = 0, version = 0;
-    std::uint64_t count = 0, clock = 0;
-    if (!getPod(in, magic) || magic != kMemoMagic ||
-        !getPod(in, version) || version != kFileVersion ||
-        !getPod(in, clock) || !getPod(in, count))
-        return false;
-
-    // Parse into a scratch map first so a truncated file cannot leave
-    // the memo half-loaded, re-deriving the payload checksum as we go.
-    Fnv1a sum;
-    sum.addPod(clock);
-    sum.addPod(count);
-    std::unordered_map<std::uint64_t, Entry> loaded;
-    for (std::uint64_t i = 0; i < count; ++i) {
-        std::uint64_t fp = 0, last_use = 0, nvalues = 0;
-        std::int64_t objective = 0;
-        if (!getPod(in, fp) || !getPod(in, objective) ||
-            !getPod(in, last_use) || !getPod(in, nvalues))
-            return false;
-        // Sanity bound: one OPG window has at most a few thousand
-        // variables; reject absurd counts from corrupt files.
-        if (nvalues > (1u << 22))
-            return false;
-        sum.addPod(fp);
-        sum.addPod(objective);
-        sum.addPod(last_use);
-        sum.addPod(nvalues);
-        Entry e;
-        e.objective = objective;
-        e.lastUse = last_use;
-        e.values.resize(nvalues);
-        for (auto &v : e.values) {
-            if (!getPod(in, v))
-                return false;
-            sum.addPod(v);
-        }
-        loaded.emplace(fp, std::move(e));
-    }
-
-    // Trailing checksum: catches bit-flips the structural checks
-    // above cannot (corrupt values, swapped entries, a stale clock).
-    std::uint64_t stored_sum = 0;
-    if (!getPod(in, stored_sum) || stored_sum != sum.digest())
-        return false;
-
-    std::lock_guard<std::mutex> lock(mu_);
-    entries_ = std::move(loaded);
-    clock_ = clock;
-    // Respect the capacity bound of *this* memo, evicting LRU-first.
-    while (entries_.size() > capacity_) {
-        auto victim = entries_.begin();
-        for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-            if (it->second.lastUse < victim->second.lastUse ||
-                (it->second.lastUse == victim->second.lastUse &&
-                 it->first < victim->first))
-                victim = it;
-        }
-        entries_.erase(victim);
-    }
-    return true;
-}
-
-bool
-PlanMemo::saveToFile(const std::string &path) const
-{
-    // Write-then-rename so a crash mid-save never corrupts the file a
-    // later launch will load.
-    const std::string tmp = path + ".tmp";
-    {
-        std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-        if (!out)
-            return false;
-        std::lock_guard<std::mutex> lock(mu_);
-        Fnv1a sum;
-        putPod(out, kMemoMagic);
-        putPod(out, kFileVersion);
-        putPod(out, clock_);
-        sum.addPod(clock_);
-        const auto count = static_cast<std::uint64_t>(entries_.size());
-        putPod(out, count);
-        sum.addPod(count);
-        // Serialize in ascending-fingerprint order so the file bytes
-        // are a pure function of the memo contents — hash-table
-        // iteration order (which depends on insertion history) must
-        // never reach the disk format.
-        std::vector<std::uint64_t> fps;
-        fps.reserve(entries_.size());
-        for (const auto &kv : entries_)
-            fps.push_back(kv.first);
-        std::sort(fps.begin(), fps.end());
-        for (const auto fp : fps) {
-            const Entry &e = entries_.at(fp);
-            const auto nvalues =
-                static_cast<std::uint64_t>(e.values.size());
-            putPod(out, fp);
-            putPod(out, e.objective);
-            putPod(out, e.lastUse);
-            putPod(out, nvalues);
-            sum.addPod(fp);
-            sum.addPod(e.objective);
-            sum.addPod(e.lastUse);
-            sum.addPod(nvalues);
-            for (const auto v : e.values) {
-                putPod(out, v);
-                sum.addPod(v);
-            }
-        }
-        putPod(out, sum.digest());
-        if (!out.good())
-            return false;
-    }
-    return std::rename(tmp.c_str(), path.c_str()) == 0;
 }
 
 OverlapPlan

@@ -10,12 +10,10 @@
 #ifndef FLASHMEM_CORE_OVERLAP_PLAN_HH
 #define FLASHMEM_CORE_OVERLAP_PLAN_HH
 
-#include <algorithm>
 #include <cstdint>
 #include <mutex>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/weight_slicer.hh"
@@ -99,81 +97,32 @@ class OverlapPlan
 };
 
 /**
- * Memo of CP incumbents keyed by CpModel fingerprint.
+ * Memo of finished window solves (solve records).
  *
- * Repeated planning calls — capacity sweeps, multi-model workloads,
- * adaptive-fusion rounds that leave most windows untouched — rebuild
- * byte-identical CP models. The memo hands the previous incumbent back
- * as a warm-start hint, so the solver starts with a tight bound (and,
- * for a previously proven optimum, often only has to re-prove
- * optimality). Entries are validated against the model before use, so a
- * fingerprint collision costs only a discarded hint, never correctness.
+ * Repeated planning calls — replans at another budget, capacity
+ * sweeps, multi-model workloads, recompiles of the same model —
+ * rebuild window models that differ from an earlier round only in row
+ * bounds, or not at all. A round whose solve a kept record would
+ * reproduce bit for bit (solver::replaysRecord: same parameters, hint,
+ * domains, rows up to bounds the recorded search never reached)
+ * takes the recorded result instead of searching. A replay is exact,
+ * so plans are a function of the planner's inputs only: a memo changes
+ * how fast a plan is found, never which plan.
  *
- * Bounded LRU; the global() instance is shared process-wide and
- * internally synchronized (lookup() hands back a copy, never a pointer
- * into the map), so concurrent window solves can share it. Note that
- * warm starts make budget-truncated planning history-dependent within
- * a process: equal-footing A/B comparisons should clear() between arms
- * (see bench_fig7 / ablation tests).
- *
- * A memo constructed with @p memoPath is file-backed: entries load on
- * construction (silently starting empty when the file is missing,
- * corrupt, or a different format version) and save on destruction, so
- * CLI tools and benches warm-start across process launches. The file
- * is a versioned binary keyed by CpModel fingerprint.
- *
- * Besides incumbents the memo keeps solve records (storeSolve /
- * findSolve): whole finished window solves, so a replan at another
- * budget skips every solve the budget cannot reach. Records live in
- * memory only: they are bounded (kSolveRecords, LRU), cleared by
- * clear(), never serialized, and touch neither the incumbents nor
- * their recency, so the memo file's bytes do not depend on them.
+ * Bounded (kSolveRecords, LRU) and memory only. The global() instance
+ * is shared process-wide and internally synchronized (findSolve()
+ * hands back a copy, never a pointer into the memo).
  */
 class PlanMemo
 {
   public:
-    explicit PlanMemo(std::size_t capacity = 1024,
-                      std::string memoPath = {})
-        : capacity_(std::max<std::size_t>(capacity, 1)),
-          memo_path_(std::move(memoPath))
-    {
-        if (!memo_path_.empty())
-            loadFromFile(memo_path_);
-    }
-
-    ~PlanMemo()
-    {
-        if (!memo_path_.empty())
-            saveToFile(memo_path_);
-    }
-
+    PlanMemo() = default;
     PlanMemo(const PlanMemo &) = delete;
     PlanMemo &operator=(const PlanMemo &) = delete;
 
-    /** Cached incumbent for @p fingerprint, if any. */
-    std::optional<std::vector<std::int64_t>> lookup(
-        std::uint64_t fingerprint);
-
-    /**
-     * Remember @p values as the incumbent for @p fingerprint.
-     * @return true if the entry was inserted or improved; false when
-     * an existing entry with an equal-or-better objective was kept.
-     */
-    bool store(std::uint64_t fingerprint,
-               std::vector<std::int64_t> values,
-               std::int64_t objective);
-
-    std::size_t
-    size() const
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        return entries_.size();
-    }
-    std::size_t capacity() const { return capacity_; }
-    /** Drop every incumbent and solve record, and zero the stats. */
+    /** Drop every solve record and zero the stats. */
     void clear();
 
-    /** @name Solve records (memory only; see class comment). @{ */
     /**
      * Solve records kept at most. Enough for every window round of a
      * model-zoo compile pass plus its replans; a window model is at
@@ -211,9 +160,12 @@ class PlanMemo
     /** Copies of the kept records, oldest store first (for triage
      * and tests: they are real window models with their solves). */
     std::vector<solver::SolveRecord> solveRecords() const;
-    /** @} */
 
-    /** Hit/miss/store counters since construction (or clear()). */
+    /**
+     * Counters since construction (or clear()): a hit is a findSolve()
+     * that replayed a record, a miss one that found none (the round
+     * searched); stores and evictions count kept and dropped records.
+     */
     struct Stats
     {
         std::uint64_t hits = 0;
@@ -231,36 +183,7 @@ class PlanMemo
     /** Process-wide memo shared by all planners. */
     static PlanMemo &global();
 
-    /**
-     * Replace the contents with the entries serialized in @p path.
-     * @return false — leaving the previous contents untouched — when
-     * the file is absent, truncated, fails its payload checksum
-     * (bit-flips anywhere in the body), or is not a supported format
-     * version. A rejected file is never partially loaded: the caller
-     * simply cold-starts with an empty memo.
-     */
-    bool loadFromFile(const std::string &path);
-
-    /** Serialize every entry to @p path (versioned, checksummed
-     * binary). */
-    bool saveToFile(const std::string &path) const;
-
-    /** Backing file ("" when the memo is memory-only). */
-    const std::string &memoPath() const { return memo_path_; }
-
-    /** On-disk format version written by saveToFile(). Version 2
-     * added a trailing FNV-1a checksum over the payload; version-1
-     * files are rejected (cold start) rather than trusted unchecked. */
-    static constexpr std::uint32_t kFileVersion = 2;
-
   private:
-    struct Entry
-    {
-        std::vector<std::int64_t> values;
-        std::int64_t objective = 0;
-        std::uint64_t lastUse = 0;
-    };
-
     struct SolveSlot
     {
         std::uint64_t shape = 0; ///< CpModel::shapeFingerprint()
@@ -268,16 +191,11 @@ class PlanMemo
         solver::SolveRecord record;
     };
 
-    void evictIfNeeded(); // caller holds mu_
-
-    const std::size_t capacity_;
-    const std::string memo_path_;
     mutable std::mutex mu_;
-    std::uint64_t clock_ = 0;
-    std::unordered_map<std::uint64_t, Entry> entries_;
     Stats stats_;
-    /** Solve records in store order; own recency clock. */
-    std::uint64_t solve_clock_ = 0;
+    /** Recency clock for the LRU. */
+    std::uint64_t clock_ = 0;
+    /** Solve records in store order. */
     std::vector<SolveSlot> solves_;
 };
 

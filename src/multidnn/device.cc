@@ -296,7 +296,7 @@ DeviceCluster::crash(int device, SimTime now)
               "crash on a device already down");
     takeDown(d, now, /*crashed=*/true);
     // Device memory is gone with the device: every resident plan must
-    // be re-planned (warm through the PlanMemo) after the rejoin.
+    // be re-planned after the rejoin.
     d.residentPlanBudget.clear();
     if (trace_)
         trace_->deviceHealthChange(

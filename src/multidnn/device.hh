@@ -263,8 +263,8 @@ class DeviceCluster
     /**
      * @p device died at @p now: Down, pipeline emptied (the loop has
      * already killed the in-flight runs), and plan residency wiped —
-     * device memory is gone, so a recovered device re-plans warm
-     * through the PlanMemo rather than finding plans resident.
+     * device memory is gone, so a recovered device re-plans rather
+     * than finding plans resident.
      */
     void crash(int device, SimTime now);
 

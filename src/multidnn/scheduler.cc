@@ -281,12 +281,13 @@ EventScheduler::compiledFor(models::ModelId model, Bytes budget,
         return it->second;
     }
 
-    // On-device re-plan: shrunken/grown residual budget, warm-started
-    // through the PlanMemo by the planner.
+    // On-device re-plan: shrunken/grown residual budget; the planner
+    // replays the PlanMemo solve records the new budget cannot reach.
     const auto &base = compiledFor(model, base_budget, out);
     auto replanned = fm_.replan(base, budget);
     ++out.replans;
-    out.replanMemoHits += replanned.stats.memoHits;
+    out.replanMemoHits +=
+        static_cast<std::uint64_t>(replanned.stats.reusedRounds);
     out.replanSeconds += replanned.stats.processNodesSeconds +
                          replanned.stats.stageSeconds +
                          replanned.stats.solveSeconds +
@@ -373,7 +374,7 @@ EventScheduler::run(const std::vector<ModelRequest> &queue,
                 cfg_.trace->replan(
                     now, static_cast<std::int32_t>(picked.model),
                     static_cast<std::int64_t>(budget),
-                    static_cast<std::int64_t>(st.memoHits),
+                    st.reusedRounds,
                     st.windows);
                 for (const auto &w : st.windowSummaries)
                     cfg_.trace->solverWindow(

@@ -20,9 +20,9 @@
  * shared capacity budget, and when a model's share shifts — because
  * other models were admitted to or evicted from the ready set — the
  * model is re-planned at its new budget via FlashMem::replan(),
- * through the PlanMemo (warm starts, and replays of kept window
- * solves the new budget cannot reach), so re-plans are cheap and
- * bit-deterministic for any planner thread count.
+ * which replays the kept window solves the new budget cannot reach
+ * (PlanMemo), so re-plans are cheap and bit-deterministic for any
+ * planner thread count.
  */
 
 #ifndef FLASHMEM_MULTIDNN_SCHEDULER_HH
@@ -132,7 +132,9 @@ struct ScheduleOutcome
 
     /** @name On-device re-planning counters (memory-aware policies). @{ */
     int replans = 0;                  ///< FlashMem::replan invocations
-    std::uint64_t replanMemoHits = 0; ///< warm starts reused from memo
+    /** Replan rounds replayed from PlanMemo solve records
+     * (PlanStats::reusedRounds summed over replans). */
+    std::uint64_t replanMemoHits = 0;
     double replanSeconds = 0.0;       ///< wall time spent re-planning
     /** @} */
 

@@ -224,7 +224,7 @@ TraceRecorder::writeText(std::ostream &os, Stream stream) const
           case EventKind::Replan:
             std::snprintf(buf, sizeof(buf),
                           "[t=%lld] replan model=%s budget=%lld "
-                          "memo_hits=%lld windows=%lld",
+                          "reused=%lld windows=%lld",
                           static_cast<long long>(e.time),
                           modelName(e.model),
                           static_cast<long long>(e.a),
@@ -417,7 +417,7 @@ TraceRecorder::writeChromeJson(std::ostream &os) const
             break;
           case EventKind::Replan:
             std::snprintf(name, sizeof(name),
-                          "replan %s (memo_hits=%lld)",
+                          "replan %s (reused=%lld)",
                           modelName(e.model),
                           static_cast<long long>(e.b));
             instant(998, e.time, name);

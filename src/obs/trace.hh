@@ -226,12 +226,12 @@ class TraceRecorder
 
     void
     replan(SimTime t, std::int32_t model, std::int64_t budget,
-           std::int64_t memo_hits, std::int64_t windows)
+           std::int64_t reused_rounds, std::int64_t windows)
     {
         TraceEvent e =
             makeEvent(t, EventKind::Replan, 0, -1, -1, model);
         e.a = budget;
-        e.b = memo_hits;
+        e.b = reused_rounds;
         e.c = windows;
         events_.push_back(e);
     }

@@ -147,19 +147,7 @@ struct Fnv1a
 } // namespace
 
 std::uint64_t
-CpModel::fingerprint() const
-{
-    return hashModel(true);
-}
-
-std::uint64_t
 CpModel::shapeFingerprint() const
-{
-    return hashModel(false);
-}
-
-std::uint64_t
-CpModel::hashModel(bool with_row_hi) const
 {
     Fnv1a f;
     f.mix(lbs_.size());
@@ -170,8 +158,6 @@ CpModel::hashModel(bool with_row_hi) const
     f.mix(constraints_.size());
     for (const auto &c : constraints_) {
         f.mixI64(c.lo);
-        if (with_row_hi)
-            f.mixI64(c.hi);
         f.mix(c.terms.size());
         for (const auto &t : c.terms) {
             f.mix(static_cast<std::uint64_t>(t.var));

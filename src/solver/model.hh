@@ -114,25 +114,16 @@ class CpModel
     bool satisfiedBy(const std::vector<std::int64_t> &values) const;
 
     /**
-     * Structural 64-bit fingerprint (FNV-1a over domains, constraints,
-     * implications, and the objective; names excluded). Identical models
-     * hash identically, so repeated planning calls can reuse cached
-     * incumbents as warm starts. Collisions are harmless: cached hints
-     * are validated before use.
-     */
-    std::uint64_t fingerprint() const;
-
-    /**
-     * fingerprint() without the rows' upper bounds: models that differ
-     * only in linear-row hi values (e.g. one window at two memory
-     * budgets) share it. Keys the solve records a replan may reuse
-     * (see solver::replaysRecord); never trusted without verification.
+     * Structural 64-bit fingerprint (FNV-1a over domains, constraints
+     * without their upper bounds, implications, and the objective;
+     * names excluded): models that differ only in linear-row hi values
+     * (e.g. one window at two memory budgets) share it. Keys the solve
+     * records a replan may reuse (see solver::replaysRecord); never
+     * trusted without verification.
      */
     std::uint64_t shapeFingerprint() const;
 
   private:
-    std::uint64_t hashModel(bool with_row_hi) const;
-
     void checkVar(VarId v) const;
     void checkTerms(const std::vector<LinearTerm> &terms) const;
 

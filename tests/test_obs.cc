@@ -59,14 +59,17 @@ TEST(TraceRecorder, ServingStreamExcludesPlannerEvents)
 {
     TraceRecorder rec;
     rec.replan(0, static_cast<std::int32_t>(ModelId::ViT), mib(256),
-               0, 3);
+               /*reused_rounds=*/4, 3);
     rec.solverWindow(0, 0, static_cast<std::int32_t>(ModelId::ViT),
                      1, 2, 3, 1, /*stop_reason=*/1, /*reused_rounds=*/2);
     rec.requestShed(0, 7, static_cast<std::int32_t>(ModelId::ViT),
                     /*reason=*/0, /*attempts=*/0);
 
     auto full = rec.text(Stream::Full);
-    EXPECT_NE(full.find("replan"), std::string::npos);
+    EXPECT_NE(full.find("replan model=ViT budget=268435456 reused=4 "
+                        "windows=3\n"),
+              std::string::npos)
+        << full;
     EXPECT_NE(full.find("solver_window"), std::string::npos);
     EXPECT_NE(full.find("proven_optimal=1 stop=decision_limit "
                         "reused=2\n"),
@@ -203,7 +206,7 @@ TEST(Logging, RateLimitedWarnCountsAndSuppresses)
 multidnn::ScheduleOutcome
 runTracedSchedulerArm(int planner_threads, TraceRecorder &rec)
 {
-    core::PlanMemo memo(1024);
+    core::PlanMemo memo;
     core::FlashMemOptions opt;
     opt.opg.parallel.threads = planner_threads;
     opt.opg.memo = &memo;

@@ -623,28 +623,29 @@ TEST(CpModel, WatchListsMaintainedAcrossMutation)
 
 TEST(CpModel, FingerprintStableAndSensitive)
 {
-    auto build = [](std::int64_t ub, std::int64_t hi,
+    auto build = [](std::int64_t ub, std::int64_t lo, std::int64_t hi,
                     std::int64_t coef) {
         CpModel m;
         auto x = m.newIntVar(0, ub);
         auto y = m.newIntVar(0, 10);
-        m.addLessOrEqual({{x, 1}, {y, coef}}, hi);
+        m.addLinear({{x, 1}, {y, coef}}, lo, hi);
         m.addImplicationGeLe(x, 2, y, 5);
         m.minimize({{x, 1}, {y, 3}});
         return m;
     };
-    auto base = build(10, 12, 2).fingerprint();
-    EXPECT_EQ(base, build(10, 12, 2).fingerprint()); // deterministic
-    EXPECT_NE(base, build(11, 12, 2).fingerprint()); // domain change
-    EXPECT_NE(base, build(10, 13, 2).fingerprint()); // rhs change
-    EXPECT_NE(base, build(10, 12, 3).fingerprint()); // coef change
+    auto base = build(10, 1, 12, 2).shapeFingerprint();
+    EXPECT_EQ(base, build(10, 1, 12, 2).shapeFingerprint()); // stable
+    EXPECT_EQ(base, build(10, 1, 13, 2).shapeFingerprint()); // hi alone
+    EXPECT_NE(base, build(10, 2, 12, 2).shapeFingerprint()); // lo
+    EXPECT_NE(base, build(11, 1, 12, 2).shapeFingerprint()); // domain
+    EXPECT_NE(base, build(10, 1, 12, 3).shapeFingerprint()); // coef
 
     CpModel no_obj;
     auto x = no_obj.newIntVar(0, 10);
     auto y = no_obj.newIntVar(0, 10);
-    no_obj.addLessOrEqual({{x, 1}, {y, 2}}, 12);
+    no_obj.addLinear({{x, 1}, {y, 2}}, 1, 12);
     no_obj.addImplicationGeLe(x, 2, y, 5);
-    EXPECT_NE(base, no_obj.fingerprint()); // objective participates
+    EXPECT_NE(base, no_obj.shapeFingerprint()); // objective participates
 }
 
 // ------------------------------------------------- Engine equivalence

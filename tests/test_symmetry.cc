@@ -414,7 +414,7 @@ TEST(SymmetryTest, RowLocalVerdictsMatchWholeModelOracleOnZooWindows)
     profiler::AnalyticCapacityProvider cap(km);
     int windows = 0, grouped = 0;
     for (auto id : {models::ModelId::ViT, models::ModelId::GPTNeoS}) {
-        PlanMemo memo(1024);
+        PlanMemo memo;
         OpgParams params;
         params.memo = &memo;
         params.symmetryBreaking = false;

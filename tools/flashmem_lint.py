@@ -990,8 +990,9 @@ def check_raw_cast(unit, symbols, findings):
     Type punning through reinterpret_cast is how byte-order and
     alignment assumptions sneak into serialized plan bytes; const_cast
     hides mutation the determinism tests cannot see. The approved
-    replacements are std::memcpy through a char buffer (see
-    overlap_plan.cc putPod/getPod) and fixing constness at the source.
+    replacements are std::memcpy through a char buffer (see writeSafe
+    in tests/lint_fixtures/violate_raw_cast.cc) and fixing constness at
+    the source.
     """
     del symbols
     for t in unit.tokens:
