@@ -10,8 +10,8 @@
  * SJF, priority-with-aging, memory-aware admission with on-device
  * re-planning) on the same queue: makespan, mean request latency
  * (end - arrival, queueing delay included) and peak memory per policy.
- * With a JSON-path argument the per-policy numbers are written for
- * BENCH_table4.json's fig6_policies section (tools/run_benchmarks.sh).
+ * Ledger (ctest label `ledger`): each policy's makespan, mean latency
+ * and re-plan count are asserted exactly (bench/ledger.hh).
  *
  * `--determinism`: instead of the figure, run the memory-aware
  * re-planning scheduler with planner thread counts 1 and 4 on isolated
@@ -30,8 +30,10 @@
 
 #include <cstring>
 #include <fstream>
-#include <sstream>
+#include <iterator>
 
+#include "bench/ledger.hh"
+#include "common/logging.hh"
 #include "multidnn/scheduler.hh"
 #include "obs/trace.hh"
 
@@ -226,11 +228,27 @@ main(int argc, char **argv)
     // ------------------------------------------------------------------
     printHeading(std::cout,
                  "Event-driven scheduler: policy comparison");
-    std::ostringstream json;
-    json << "{\n  \"fig6_policies\": [\n";
+    // Ledger, in allPolicyKinds() order: makespan and mean latency
+    // (ns), re-plans.
+    struct PolicyLedger
+    {
+        const char *policy;
+        SimTime makespan, meanLatency;
+        std::int64_t replans;
+    };
+    const PolicyLedger policy_ledger[] = {
+        {"fifo", 12882759231, 7100919393, 0},
+        {"sjf", 12882759231, 3783424146, 0},
+        {"priority-aging", 12882759231, 4002675025, 0},
+        {"deadline", 12882759231, 7100919393, 0},
+        {"memory-aware", 12882759231, 7100919393, 8},
+    };
+    Ledger ledger;
     Table pt({"Policy", "Makespan", "Mean latency", "Mean queue",
               "Peak mem", "Re-plans"});
     const auto &kinds = multidnn::allPolicyKinds();
+    FM_ASSERT(kinds.size() == std::size(policy_ledger),
+              "policy_ledger[] out of sync with allPolicyKinds()");
     std::vector<multidnn::ScheduleOutcome> outcomes;
     for (std::size_t i = 0; i < kinds.size(); ++i) {
         auto policy = multidnn::makePolicy(kinds[i]);
@@ -240,19 +258,16 @@ main(int argc, char **argv)
                    formatMs(o.meanQueueDelay()),
                    formatBytes(o.peakMemory),
                    std::to_string(o.replans)});
-        json << "    {\"policy\": \"" << o.policy
-             << "\", \"makespan_ms\": " << toMilliseconds(o.makespan)
-             << ", \"mean_latency_ms\": "
-             << toMilliseconds(o.meanLatency())
-             << ", \"mean_queue_ms\": "
-             << toMilliseconds(o.meanQueueDelay())
-             << ", \"peak_mem_mb\": " << toMiB(o.peakMemory)
-             << ", \"replans\": " << o.replans << "}"
-             << (i + 1 < kinds.size() ? "," : "") << "\n";
+        const auto &want = policy_ledger[i];
+        ledger.eq("policy " + std::to_string(i), o.policy, want.policy);
+        ledger.eq(o.policy + " makespan ns", o.makespan, want.makespan);
+        ledger.eq(o.policy + " mean latency ns", o.meanLatency(),
+                  want.meanLatency);
+        ledger.eq(o.policy + " replans",
+                  static_cast<std::int64_t>(o.replans), want.replans);
         outcomes.push_back(std::move(o));
     }
     pt.print(std::cout);
-    json << "  ]\n}\n";
 
     bool ok = true;
     // FlashMem stays under the configured ceiling (paper: 1.5 GB);
@@ -277,16 +292,6 @@ main(int argc, char **argv)
                  "spikes, memory-aware re-plans and holds the lowest "
                  "peak): "
               << (ok ? "PASS" : "FAIL") << "\n";
-
-    if (argc > 1) {
-        std::ofstream out(argv[1]);
-        out << json.str();
-        if (out.good()) {
-            std::cout << "wrote " << argv[1] << "\n";
-        } else {
-            std::cerr << "failed to write " << argv[1] << "\n";
-            ok = false;
-        }
-    }
+    ok &= ledger.report(std::cout);
     return ok ? 0 : 1;
 }

@@ -12,24 +12,27 @@
  * CP models — exhaustively solved instances must agree on optimum and
  * status, and fixed-decision-budget instances measure wall time per
  * decision. The PASS bar is a >= 5x aggregate reduction in solver wall
- * time (equivalently decisions/s). A final section demonstrates the
- * plan memo: re-planning an unchanged model reuses cached incumbents.
+ * time (equivalently decisions/s). A plan-memo section checks that
+ * planning an unchanged model again replays its kept window solves
+ * into a byte-identical plan.
  *
  * A final search section measures symmetry breaking's conflict
  * reduction on interchangeable windows and records which
  * budget-truncated window instances the solver proves optimal under
  * the Table-4 planner's restart setup.
  *
- * With an argument, also writes the measurements as JSON (consumed by
- * tools/run_benchmarks.sh -> BENCH_table4.json).
+ * Ledger (ctest label `ledger`): every deterministic figure — instance
+ * statuses and objectives, the Table-4 plan statuses, the symmetry
+ * conflict counts and ratio, the budget instances' statuses and
+ * objectives, and the count proven optimal — is asserted exactly
+ * (bench/ledger.hh). The >= 5x speedup is the only wall-time check.
  */
 
 #include "bench/harness.hh"
 
-#include <fstream>
 #include <iterator>
-#include <sstream>
 
+#include "bench/ledger.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
 #include "core/lc_opg.hh"
@@ -222,26 +225,22 @@ symWindowInstance(const std::string &name, int weights, int layers,
 }
 
 /**
- * Window search study (the `solver_search` JSON section).
+ * Window search study.
  *
  * (a) Symmetry: interchangeable windows solved to exhaustion with and
  *     without lex rows must agree on the optimum, and the rows must
  *     cut conflicts (the aggregate plain/broken conflict ratio is the
- *     machine-independent speedup figure the regression gate tracks).
+ *     machine-independent speedup figure).
  * (b) Budget: OPG-window instances solved under a fixed decision
- *     budget with the Table-4 planner's restart setup; the statuses,
- *     objectives and the count proven optimal are deterministic and
- *     gated against the committed snapshot.
+ *     budget with the Table-4 planner's restart setup.
  *
- * Returns {ok, fragment}; the fragment is the `"solver_search"`
- * member without a trailing comma.
+ * Conflict counts, statuses, objectives and the count proven optimal
+ * are deterministic and go to @p ledger. Returns the shape checks.
  */
-std::pair<bool, std::string>
-reportSearchStudy()
+bool
+reportSearchStudy(bench::Ledger &ledger)
 {
     bool ok = true;
-    std::ostringstream json;
-    json << "  \"solver_search\": {\n";
 
     // --------------------------------------------------------------
     // (a) Symmetry breaking on interchangeable windows.
@@ -254,20 +253,19 @@ reportSearchStudy()
     {
         const char *name;
         int weights, layers, tw, cap;
+        std::int64_t plainConflicts, brokenConflicts; ///< ledger
     };
     const SymCase sym_cases[] = {
-        {"sym-w5-l3", 5, 3, 2, 3},
-        {"sym-w6-l3", 6, 3, 2, 4},
-        {"sym-w6-l4", 6, 4, 2, 4},
-        {"sym-w7-l3", 7, 3, 2, 4},
+        {"sym-w5-l3", 5, 3, 2, 3, 18231, 251},
+        {"sym-w6-l3", 6, 3, 2, 4, 40133, 985},
+        {"sym-w6-l4", 6, 4, 2, 4, 188012, 4387},
+        {"sym-w7-l3", 7, 3, 2, 4, 1594870, 1533},
     };
 
     Table st({"Instance", "Objective", "Lex rows", "Plain conflicts",
               "Broken conflicts", "Ratio"});
     std::uint64_t conf_plain = 0, conf_broken = 0;
-    json << "    \"symmetry_instances\": [\n";
-    for (std::size_t i = 0; i < std::size(sym_cases); ++i) {
-        const auto &c = sym_cases[i];
+    for (const auto &c : sym_cases) {
         SolverParams sp;
         sp.timeLimitSeconds = 60.0;
 
@@ -292,6 +290,13 @@ reportSearchStudy()
         ok &= r_broken.backtracks < r_plain.backtracks;
         conf_plain += r_plain.backtracks;
         conf_broken += r_broken.backtracks;
+        const std::string name = c.name;
+        ledger.eq(name + " plain conflicts",
+                  static_cast<std::int64_t>(r_plain.backtracks),
+                  c.plainConflicts);
+        ledger.eq(name + " broken conflicts",
+                  static_cast<std::int64_t>(r_broken.backtracks),
+                  c.brokenConflicts);
 
         double ratio = static_cast<double>(r_plain.backtracks) /
                        static_cast<double>(
@@ -302,13 +307,6 @@ reportSearchStudy()
                    std::to_string(r_plain.backtracks),
                    std::to_string(r_broken.backtracks),
                    formatDouble(ratio, 1) + "x"});
-        json << "      {\"name\": \"" << c.name
-             << "\", \"objective\": " << r_broken.objective
-             << ", \"lex_rows\": " << rows
-             << ", \"plain_conflicts\": " << r_plain.backtracks
-             << ", \"broken_conflicts\": " << r_broken.backtracks
-             << "}" << (i + 1 < std::size(sym_cases) ? "," : "")
-             << "\n";
     }
     st.print(std::cout);
 
@@ -318,9 +316,9 @@ reportSearchStudy()
     ok &= conflict_ratio > 1.0;
     std::cout << "\nAggregate conflict ratio (plain / broken): "
               << formatDouble(conflict_ratio, 1)
-              << "x (deterministic; gated)\n";
-    json << "    ],\n    \"symmetry_conflict_ratio\": "
-         << conflict_ratio << ",\n";
+              << "x (deterministic; ledger)\n";
+    ledger.near("symmetry conflict ratio", conflict_ratio,
+                257.30100614868644);
 
     // --------------------------------------------------------------
     // (b) Budget-truncated windows under a fixed decision budget.
@@ -335,20 +333,20 @@ reportSearchStudy()
         int weights, layers, tw, cap;
         unsigned seed;
         std::uint64_t budget;
+        const char *status; ///< ledger
+        std::int64_t objective; ///< ledger
     };
     const BudgetCase budget_cases[] = {
-        {"budget-w8-l5", 8, 5, 2, 5, 1, 100000},
-        {"budget-w9-l5", 9, 5, 2, 6, 7, 200000},
-        {"budget-w8-l4", 8, 4, 2, 6, 11, 50000},
-        {"budget-w8-l4-wide", 8, 4, 2, 6, 11, 200000},
-        {"budget-w10-l6", 10, 6, 3, 8, 21, 100000},
+        {"budget-w8-l5", 8, 5, 2, 5, 1, 100000, "FEASIBLE", -209},
+        {"budget-w9-l5", 9, 5, 2, 6, 7, 200000, "FEASIBLE", -136},
+        {"budget-w8-l4", 8, 4, 2, 6, 11, 50000, "FEASIBLE", -86},
+        {"budget-w8-l4-wide", 8, 4, 2, 6, 11, 200000, "OPTIMAL", -86},
+        {"budget-w10-l6", 10, 6, 3, 8, 21, 100000, "FEASIBLE", -306},
     };
 
     Table bt({"Instance", "Budget", "Status", "Objective", "Decisions"});
     int optimal_single = 0;
-    json << "    \"budget_instances\": [\n";
-    for (std::size_t i = 0; i < std::size(budget_cases); ++i) {
-        const auto &c = budget_cases[i];
+    for (const auto &c : budget_cases) {
         auto inst = opgWindowInstance(c.name, c.weights, c.layers,
                                       c.tw, c.cap, c.seed, c.budget);
         SolverParams sp;
@@ -360,40 +358,34 @@ reportSearchStudy()
         auto r = CpSolver(sp).solve(inst.model, &inst.hint);
         ok &= r.feasible();
         optimal_single += r.status == solver::SolveStatus::Optimal;
+        const std::string name = c.name;
+        ledger.eq(name + " status", solver::solveStatusName(r.status),
+                  c.status);
+        ledger.eq(name + " objective", r.objective, c.objective);
 
         bt.addRow({c.name, std::to_string(c.budget),
                    solver::solveStatusName(r.status),
                    std::to_string(r.objective),
                    std::to_string(r.decisions)});
-        json << "      {\"name\": \"" << c.name
-             << "\", \"budget\": " << c.budget
-             << ", \"single_status\": \""
-             << solver::solveStatusName(r.status)
-             << "\", \"single_objective\": " << r.objective
-             << "}" << (i + 1 < std::size(budget_cases) ? "," : "")
-             << "\n";
     }
     bt.print(std::cout);
 
     std::cout << "\nWindows proven optimal: " << optimal_single << "/"
-              << std::size(budget_cases) << " (deterministic; gated)\n";
-    json << "    ],\n    \"optimal_windows_single\": " << optimal_single
-         << "\n  }";
-
-    return {ok, json.str()};
+              << std::size(budget_cases) << " (deterministic; ledger)\n";
+    ledger.eq("windows proven optimal", optimal_single, 1);
+    return ok;
 }
 
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
     using namespace flashmem;
     using namespace flashmem::bench;
 
     bool ok = true;
-    std::ostringstream json;
-    json << "{\n";
+    Ledger ledger;
 
     // ------------------------------------------------------------------
     // Part 1: trail engine vs seed DFS on identical CP models.
@@ -403,31 +395,40 @@ main(int argc, char **argv)
     printHeading(std::cout,
                  "Solver rewrite: trail engine vs seed DFS (same models)");
 
-    std::vector<Instance> suite;
-    // Run-to-OPTIMAL instances (small enough for the seed DFS).
-    suite.push_back(opgWindowInstance("opt-w8-l5", 8, 5, 2, 5, 1, 0));
-    suite.push_back(opgWindowInstance("opt-w9-l5", 9, 5, 2, 6, 7, 0));
-    suite.push_back(opgWindowInstance("opt-w8-l4", 8, 4, 2, 6, 11, 0));
-    // Fixed-decision-budget instances at LC-OPG window scale.
-    suite.push_back(
-        opgWindowInstance("win-w24-l8", 24, 8, 4, 14, 3, 400000));
-    suite.push_back(
-        opgWindowInstance("win-w32-l8", 32, 8, 4, 18, 5, 400000));
-    suite.push_back(
-        opgWindowInstance("win-w40-l10", 40, 10, 6, 26, 4, 400000));
-    suite.push_back(
-        opgWindowInstance("win-w56-l12", 56, 12, 6, 30, 9, 400000));
-    suite.push_back(
-        opgWindowInstance("win-w72-l14", 72, 14, 6, 36, 13, 400000));
+    struct CompareCase
+    {
+        const char *name;
+        int weights, layers, tw, cap;
+        unsigned seed;
+        std::uint64_t budget; ///< 0 = run to exhaustion
+        const char *status; ///< ledger (trail engine)
+        std::int64_t objective; ///< ledger (trail engine)
+    };
+    const CompareCase compare_cases[] = {
+        // Run-to-OPTIMAL instances (small enough for the seed DFS).
+        {"opt-w8-l5", 8, 5, 2, 5, 1, 0, "OPTIMAL", -209},
+        {"opt-w9-l5", 9, 5, 2, 6, 7, 0, "OPTIMAL", -136},
+        {"opt-w8-l4", 8, 4, 2, 6, 11, 0, "OPTIMAL", -86},
+        // Fixed-decision-budget instances at LC-OPG window scale.
+        {"win-w24-l8", 24, 8, 4, 14, 3, 400000, "FEASIBLE", -756},
+        {"win-w32-l8", 32, 8, 4, 18, 5, 400000, "FEASIBLE", -618},
+        {"win-w40-l10", 40, 10, 6, 26, 4, 400000, "FEASIBLE", -1742},
+        {"win-w56-l12", 56, 12, 6, 30, 9, 400000, "FEASIBLE", -3020},
+        {"win-w72-l14", 72, 14, 6, 36, 13, 400000, "FEASIBLE", -4480},
+    };
 
     Table cmp({"Instance", "Status", "Objective", "Seed (s)",
                "Trail (s)", "Seed dec/s", "Trail dec/s", "Speedup"});
     double wall_base = 0.0, wall_trail = 0.0;
     std::uint64_t dec_base = 0, dec_trail = 0;
-    json << "  \"solver_comparison\": {\n    \"instances\": [\n";
-    for (std::size_t i = 0; i < suite.size(); ++i) {
-        const auto &inst = suite[i];
+    for (const auto &c : compare_cases) {
+        auto inst = opgWindowInstance(c.name, c.weights, c.layers, c.tw,
+                                      c.cap, c.seed, c.budget);
         auto r = runBothEngines(inst, 60.0);
+        const std::string name = c.name;
+        ledger.eq(name + " status",
+                  solver::solveStatusName(r.trail.status), c.status);
+        ledger.eq(name + " objective", r.trail.objective, c.objective);
         ok &= r.base.status == r.trail.status;
         ok &= r.base.feasible() && r.trail.feasible();
         if (inst.decisionBudget == 0) {
@@ -462,14 +463,6 @@ main(int argc, char **argv)
                                      (r.trail.wallSeconds + 1e-12),
                                  1) +
                         "x"});
-        json << "      {\"name\": \"" << inst.name << "\", \"status\": \""
-             << solver::solveStatusName(r.trail.status)
-             << "\", \"objective\": " << r.trail.objective
-             << ", \"seed_wall_s\": " << r.base.wallSeconds
-             << ", \"trail_wall_s\": " << r.trail.wallSeconds
-             << ", \"seed_decisions\": " << r.base.decisions
-             << ", \"trail_decisions\": " << r.trail.decisions << "}"
-             << (i + 1 < suite.size() ? "," : "") << "\n";
     }
     cmp.print(std::cout);
 
@@ -489,11 +482,6 @@ main(int argc, char **argv)
     std::cout << ">=5x solver speedup (identical statuses everywhere, "
                  "identical optima on exhausted instances): "
               << (speedup_ok ? "PASS" : "FAIL") << "\n";
-    json << "    ],\n    \"aggregate_wall_speedup\": " << wall_speedup
-         << ",\n    \"aggregate_decisions_per_sec_seed\": " << dps_base
-         << ",\n    \"aggregate_decisions_per_sec_trail\": " << dps_trail
-         << ",\n    \"decisions_per_sec_ratio\": " << dps_ratio
-         << "\n  },\n";
 
     // ------------------------------------------------------------------
     // Part 2: Table 4 — LC-OPG offline breakdown per model.
@@ -502,20 +490,21 @@ main(int argc, char **argv)
                  "Table 4: LC-OPG solver runtime (150 s budget)");
     core::PlanMemo::global().clear(); // cold Table-4 numbers
 
-    // Published columns (seconds / status), aligned with
-    // table4ModelSet() order.
+    // Published columns (seconds / status) and the ledger status,
+    // aligned with table4ModelSet() order.
     struct Published
     {
         double p_process, p_build, p_solve;
         const char *p_status;
+        const char *status;
     };
     const Published published[] = {
-        {0.010, 0.260, 45.00, "OPTIMAL"},    // GPTN-S
-        {0.020, 1.170, 121.00, "FEASIBLE"},  // GPTN-1.3B
-        {0.050, 1.980, 121.00, "FEASIBLE"},  // GPTN-2.7B
-        {0.001, 4.110, 121.40, "FEASIBLE"},  // ViT-8B
-        {0.007, 3.566, 124.80, "FEASIBLE"},  // Llama2-13B
-        {0.023, 14.456, 136.38, "FEASIBLE"}, // Llama2-70B
+        {0.010, 0.260, 45.00, "OPTIMAL", "FEASIBLE"},     // GPTN-S
+        {0.020, 1.170, 121.00, "FEASIBLE", "FEASIBLE"},   // GPTN-1.3B
+        {0.050, 1.980, 121.00, "FEASIBLE", "FEASIBLE"},   // GPTN-2.7B
+        {0.001, 4.110, 121.40, "FEASIBLE", "FEASIBLE"},   // ViT-8B
+        {0.007, 3.566, 124.80, "FEASIBLE", "FEASIBLE"},   // Llama2-13B
+        {0.023, 14.456, 136.38, "FEASIBLE", "FEASIBLE"},  // Llama2-70B
     };
     const auto &t4models = table4ModelSet();
     FM_ASSERT(t4models.size() == std::size(published),
@@ -527,8 +516,6 @@ main(int argc, char **argv)
     Table t({"Model", "Process (s)", "(paper)", "Build (s)", "(paper)",
              "Solve (s)", "(paper)", "Status", "(paper)"});
     double total_70b = 0.0, total_s = 0.0;
-    int plan_threads = 1;
-    json << "  \"table4\": [\n";
     for (std::size_t i = 0; i < t4models.size(); ++i) {
         const auto &e = t4models[i];
         const auto &pub = published[i];
@@ -543,28 +530,16 @@ main(int argc, char **argv)
         core::PlanStats stats;
         auto plan = planner.plan(&stats);
         ok &= plan.validate(*e.graph, false);
-        plan_threads = stats.threads;
 
         const char *status =
             solver::solveStatusName(stats.overallStatus);
+        ledger.eq(e.name + " plan status", status, pub.status);
         t.addRow({e.name, formatDouble(stats.processNodesSeconds, 3),
                   formatDouble(pub.p_process, 3),
                   formatDouble(stats.buildModelSeconds, 3),
                   formatDouble(pub.p_build, 3),
                   formatDouble(stats.solveSeconds, 2),
                   formatDouble(pub.p_solve, 2), status, pub.p_status});
-        json << "    {\"model\": \"" << e.name
-             << "\", \"process_s\": " << stats.processNodesSeconds
-             << ", \"stage_s\": " << stats.stageSeconds
-             << ", \"build_s\": " << stats.buildModelSeconds
-             << ", \"solve_s\": " << stats.solveSeconds
-             << ", \"solve_cpu_s\": " << stats.solveCpuSeconds
-             << ", \"merge_s\": " << stats.mergeSeconds
-             << ", \"decisions\": " << stats.solverDecisions
-             << ", \"restarts\": " << stats.solverRestarts
-             << ", \"rebalanced_chunks\": " << stats.rebalancedChunks
-             << ", \"status\": \"" << status << "\"}"
-             << (i + 1 < t4models.size() ? "," : "") << "\n";
 
         double total = stats.processNodesSeconds +
                        stats.buildModelSeconds + stats.solveSeconds;
@@ -576,7 +551,6 @@ main(int argc, char **argv)
               stats.overallStatus == solver::SolveStatus::Feasible;
     }
     t.print(std::cout);
-    json << "  ],\n  \"threads\": " << plan_threads << ",\n";
 
     // Scale check: the 70B plan costs far more than the small model,
     // mirroring the paper's nonlinear growth.
@@ -644,11 +618,6 @@ main(int argc, char **argv)
     std::cout << "Memo replay (reused rounds > 0, byte-identical "
                  "repeat plans): "
               << (memo_ok ? "PASS" : "FAIL") << "\n";
-    json << "  \"plan_memo\": {\"cold_solve_s\": "
-         << cold_stats.solveSeconds
-         << ", \"warm_solve_s\": " << warm_stats.solveSeconds
-         << ", \"warm_reused_rounds\": " << warm_stats.reusedRounds
-         << ", \"windows\": " << warm_stats.windows << "},\n";
 
     // ------------------------------------------------------------------
     // Part 4: merge-time re-balancing. Under the latency-priority
@@ -664,7 +633,6 @@ main(int argc, char **argv)
     Table rt({"Model", "Rebalanced chunks", "Weights", "Preload (off)",
               "Preload (on)"});
     bool reb_any = false;
-    json << "  \"rebalance\": [\n";
     for (std::size_t i = 0; i < 2; ++i) { // GPTN-S, GPTN-1.3B
         const auto &e = t4models[i];
         core::OpgParams params;
@@ -691,41 +659,19 @@ main(int argc, char **argv)
         rt.addRow({e.name, std::to_string(stats_on.rebalancedChunks),
                    std::to_string(stats_on.rebalancedWeights),
                    formatBytes(pre_off), formatBytes(pre_on)});
-        json << "    {\"model\": \"" << e.name
-             << "\", \"rebalanced_chunks\": "
-             << stats_on.rebalancedChunks
-             << ", \"rebalanced_weights\": "
-             << stats_on.rebalancedWeights
-             << ", \"preload_mb_off\": " << toMiB(pre_off)
-             << ", \"preload_mb_on\": " << toMiB(pre_on) << "}"
-             << (i + 1 < 2 ? "," : "") << "\n";
     }
     rt.print(std::cout);
     ok &= reb_any;
     std::cout << "\nRe-balancing pass (>=1 model topped up, preload "
                  "never grows): "
               << (reb_any ? "PASS" : "FAIL") << "\n";
-    json << "  ],\n";
 
     // ------------------------------------------------------------------
     // Part 5: window search — symmetry breaking + budget instances.
     // ------------------------------------------------------------------
-    {
-        auto [pok, pjson] = reportSearchStudy();
-        ok &= pok;
-        json << pjson << ",\n";
-    }
+    ok &= reportSearchStudy(ledger);
 
-    json << "  \"pass\": " << (ok ? "true" : "false") << "\n}\n";
-    if (argc > 1) {
-        std::ofstream out(argv[1]);
-        out << json.str();
-        if (out.good()) {
-            std::cout << "\nwrote " << argv[1] << "\n";
-        } else {
-            std::cerr << "failed to write " << argv[1] << "\n";
-            ok = false;
-        }
-    }
+    std::cout << "\n";
+    ok &= ledger.report(std::cout);
     return ok ? 0 : 1;
 }

@@ -14,12 +14,35 @@
 #include "models/model_zoo.hh"
 
 namespace flashmem::models {
+
+/** gtest prints a ModelId parameter as its integer value, so the
+ * ZooGraph ctest names are stable across builds. */
+void
+PrintTo(ModelId id, std::ostream *os)
+{
+    *os << static_cast<int>(id);
+}
+
 namespace {
 
 using graph::Graph;
 using graph::OpClass;
 using graph::OpKind;
 
+/** Test-name suffix: the model's abbreviation, non-alphanumerics
+ * replaced by '_'. */
+std::string
+abbrTestName(ModelId id)
+{
+    std::string name = modelSpec(id).abbr;
+    for (auto &c : name) {
+        if (!isalnum(static_cast<unsigned char>(c)))
+            c = '_';
+    }
+    return name;
+}
+
+/** Table-6 size checks, parameterized on the published spec. */
 class ZooModel : public ::testing::TestWithParam<ModelSpec>
 {
   protected:
@@ -27,6 +50,17 @@ class ZooModel : public ::testing::TestWithParam<ModelSpec>
     build() const
     {
         return buildModel(GetParam().id);
+    }
+};
+
+/** Graph-structure checks, parameterized on the model id. */
+class ZooGraph : public ::testing::TestWithParam<ModelId>
+{
+  protected:
+    Graph
+    build() const
+    {
+        return buildModel(GetParam());
     }
 };
 
@@ -60,13 +94,28 @@ TEST_P(ZooModel, LayerCountMatchesPaperTable6)
     EXPECT_LT(rel, 1.07);
 }
 
-TEST_P(ZooModel, ValidatesStructurally)
+INSTANTIATE_TEST_SUITE_P(
+    Table6, ZooModel, ::testing::ValuesIn(modelZoo()),
+    [](const ::testing::TestParamInfo<ModelSpec> &info) {
+        return abbrTestName(info.param.id);
+    });
+
+std::vector<ModelId>
+zooIds()
+{
+    std::vector<ModelId> ids;
+    for (const auto &spec : modelZoo())
+        ids.push_back(spec.id);
+    return ids;
+}
+
+TEST_P(ZooGraph, ValidatesStructurally)
 {
     auto g = build();
     EXPECT_TRUE(g.validate(false));
 }
 
-TEST_P(ZooModel, WeightsConsumedInOrder)
+TEST_P(ZooGraph, WeightsConsumedInOrder)
 {
     auto g = build();
     for (const auto &w : g.weights()) {
@@ -79,7 +128,7 @@ TEST_P(ZooModel, WeightsConsumedInOrder)
     }
 }
 
-TEST_P(ZooModel, HasAllThreeOperatorClasses)
+TEST_P(ZooGraph, HasAllThreeOperatorClasses)
 {
     auto g = build();
     std::set<OpClass> classes;
@@ -92,25 +141,20 @@ TEST_P(ZooModel, HasAllThreeOperatorClasses)
     EXPECT_TRUE(classes.count(OpClass::Hierarchical));
 }
 
-TEST_P(ZooModel, WeightBytesConsistentWithPrecision)
+TEST_P(ZooGraph, WeightBytesConsistentWithPrecision)
 {
     auto g = build();
     EXPECT_EQ(g.totalWeightBytes(),
               static_cast<Bytes>(g.totalParams()) * 2); // fp16
-    auto g32 = buildModel(GetParam().id, Precision::FP32);
+    auto g32 = buildModel(GetParam(), Precision::FP32);
     EXPECT_EQ(g32.totalWeightBytes(),
               static_cast<Bytes>(g32.totalParams()) * 4);
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Table6, ZooModel, ::testing::ValuesIn(modelZoo()),
-    [](const ::testing::TestParamInfo<ModelSpec> &info) {
-        std::string name = info.param.abbr;
-        for (auto &c : name) {
-            if (!isalnum(static_cast<unsigned char>(c)))
-                c = '_';
-        }
-        return name;
+    Table6, ZooGraph, ::testing::ValuesIn(zooIds()),
+    [](const ::testing::TestParamInfo<ModelId> &info) {
+        return abbrTestName(info.param);
     });
 
 TEST(ModelZoo, SpecLookupRoundTrip)
