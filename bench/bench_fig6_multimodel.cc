@@ -237,11 +237,11 @@ main(int argc, char **argv)
         std::int64_t replans;
     };
     const PolicyLedger policy_ledger[] = {
-        {"fifo", 12882759231, 7100919393, 0},
-        {"sjf", 12882759231, 3783424146, 0},
-        {"priority-aging", 12882759231, 4002675025, 0},
-        {"deadline", 12882759231, 7100919393, 0},
-        {"memory-aware", 12882759231, 7100919393, 8},
+        {"fifo", 12502615602, 6890306217, 0},
+        {"sjf", 12502615602, 3693638587, 0},
+        {"priority-aging", 12502615602, 3891018718, 0},
+        {"deadline", 12502615602, 6890306217, 0},
+        {"memory-aware", 12502615602, 6890306217, 8},
     };
     Ledger ledger;
     Table pt({"Policy", "Makespan", "Mean latency", "Mean queue",

@@ -586,10 +586,10 @@ reportAdmissionStudy(const AdmissionStudy &study, Ledger &ledger)
         SimTime p99;
     };
     const AdmissionLedger admission_ledger[] = {
-        {"overload_dispatch_only", 141533, 3243883982},
-        {"overload_arrival", 156038, 2993208627},
-        {"cold_influx_oracle", 174602, 2897519273},
-        {"cold_influx_predicted", 174567, 1236537141},
+        {"overload_dispatch_only", 140634, 3212467192},
+        {"overload_arrival", 155560, 2967596533},
+        {"cold_influx_oracle", 174777, 2866127912},
+        {"cold_influx_predicted", 174646, 1212686083},
     };
     FM_ASSERT(study.scenarios.size() == std::size(admission_ledger),
               "admission_ledger[] out of sync with the scenarios");
@@ -680,8 +680,8 @@ reportAdmissionStudy(const AdmissionStudy &study, Ledger &ledger)
                  "bounded cold gap, every request accounted): "
               << (admission_ok ? "PASS" : "FAIL") << "\n";
     ledger.near("arrival goodput delta", arrival_delta,
-                0.072525000000000062);
-    ledger.near("cold goodput gap", cold_gap, 0.00017499999999992522);
+                0.074630000000000085);
+    ledger.near("cold goodput gap", cold_gap, 0.00065500000000007219);
     return admission_ok;
 }
 
@@ -791,7 +791,7 @@ checkObsOutcome(const Arm &arm, const FaultTrace &ft, Ledger &ledger)
               << " requests: traced outcome identical to untraced: "
               << (identical ? "yes" : "NO") << "\n";
     ledger.eq("crash_midrun trace events",
-              static_cast<std::int64_t>(rec.size()), 599921);
+              static_cast<std::int64_t>(rec.size()), 599925);
     return identical;
 }
 
@@ -1037,10 +1037,10 @@ main(int argc, char **argv)
         double maxQps;
     };
     const PolicyLedger policy_ledger[] = {
-        {"fifo", 795651851, 720651, 2.8284271247461903},
-        {"sjf", 641807654, 879622, 4.0},
-        {"deadline", 543548651, 920171, 4.5551545390267663},
-        {"deadline-degrade", 772478890, 843219, 3.8304131227942944},
+        {"fifo", 782342564, 722733, 2.8284271247461903},
+        {"sjf", 635117868, 881502, 4.0},
+        {"deadline", 539232349, 921518, 4.7568284600108841},
+        {"deadline-degrade", 764208312, 845151, 4.0},
     };
     FM_ASSERT(figures.size() == std::size(policy_ledger),
               "policy_ledger[] out of sync with servingPolicies()");
@@ -1127,8 +1127,8 @@ main(int argc, char **argv)
     const ShardLedger shard_ledger[] = {
         {1, false, 2.8284271247461903}, {1, true, 3.220980663898509},
         {2, false, 10.834044375495143}, {2, true, 12.337686603263528},
-        {4, false, 28.100034565972791}, {4, true, 32.0},
-        {8, false, 64.0},               {8, true, 72.88247262442826},
+        {4, false, 28.100034565972791}, {4, true, 33.41676103767724},
+        {8, false, 64.0},               {8, true, 76.109255360174146},
     };
     FM_ASSERT(sharding.points.size() == std::size(shard_ledger),
               "shard_ledger[] out of sync with the sharding points");
@@ -1142,11 +1142,11 @@ main(int argc, char **argv)
         ledger.near(point + " max QPS", p.maxQps, want.maxQps);
     }
     double eff4 = shardingScalingEfficiency(sharding, 4);
-    ledger.near("4-device scaling efficiency", eff4, 2.483715624146968);
+    ledger.near("4-device scaling efficiency", eff4, 2.5936791093020188);
     ledger.eq("overlap demo serial makespan ns",
-              sharding.demoSerial.makespan, 2134696560);
+              sharding.demoSerial.makespan, 2070267408);
     ledger.eq("overlap demo overlapped makespan ns",
-              sharding.demoOverlap.makespan, 1851462637);
+              sharding.demoOverlap.makespan, 1736484714);
     double demo_speedup =
         static_cast<double>(sharding.demoSerial.makespan) /
         static_cast<double>(
@@ -1204,10 +1204,10 @@ main(int argc, char **argv)
         std::int64_t retries, failovers;
     };
     const FaultLedger fault_ledger[] = {
-        {"fault_free", 199808, 324396551, 0, 0},
-        {"crash_midrun", 199311, 469159649, 1, 1},
-        {"slowdown_4x", 194814, 737697405, 0, 0},
-        {"flapping", 199306, 432969095, 5, 5},
+        {"fault_free", 199822, 314284325, 0, 0},
+        {"crash_midrun", 199352, 462646656, 1, 1},
+        {"slowdown_4x", 194804, 729070381, 0, 0},
+        {"flapping", 199336, 429700752, 6, 6},
     };
     FM_ASSERT(faults.size() == std::size(fault_ledger),
               "fault_ledger[] out of sync with the fault scenarios");
@@ -1265,7 +1265,7 @@ main(int argc, char **argv)
         crash.outcome.stats.goodputRate() /
         std::max(ff.outcome.stats.goodputRate(), 1e-12);
     ledger.near("crash goodput ratio", crash_goodput_ratio,
-                0.99751261210762321);
+                0.99764790663690672);
     fault_ok &= crash.outcome.faults.crashes == 1;
     fault_ok &= crash.outcome.faults.retries > 0 &&
                 crash.outcome.faults.failovers > 0;

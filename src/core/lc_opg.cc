@@ -26,6 +26,13 @@ secondsSince(std::chrono::steady_clock::time_point t0)
 /** Objective scaling: lambda/mu mapped onto integer coefficients. */
 constexpr std::int64_t kObjScale = 100;
 
+/** Integer objective coefficient of lambda or mu. */
+std::int64_t
+objCoef(double weight)
+{
+    return static_cast<std::int64_t>(weight * kObjScale);
+}
+
 /**
  * Ledger-checked chunk placement step shared by the greedy warm start,
  * the merge-time clamp, and the re-balancing pass: take up to @p want
@@ -237,9 +244,7 @@ LcOpgPlanner::buildWindowModel(const WindowInput &in, double relax,
         y_vars[k] = m.newIntVar(y_lo, t_w, w.name + ".preload");
         hint.push_back(forced[k] ? t_w : greedy.preload[k]);
         // lambda-weighted preload cost.
-        objective.push_back(
-            {y_vars[k], static_cast<std::int64_t>(
-                            params_.lambda * kObjScale)});
+        objective.push_back({y_vars[k], objCoef(params_.lambda)});
 
         std::vector<solver::LinearTerm> coverage{{y_vars[k], 1}};
         for (auto l : cands[k]) {
@@ -274,9 +279,7 @@ LcOpgPlanner::buildWindowModel(const WindowInput &in, double relax,
             z_vars[k] =
                 m.newIntVar(z_lo, w.consumer, w.name + ".z");
             // mu-weighted loading distance i_w - z_w.
-            objective.push_back(
-                {z_vars[k], -static_cast<std::int64_t>(
-                                params_.mu * kObjScale)});
+            objective.push_back({z_vars[k], -objCoef(params_.mu)});
             for (std::size_t j = 0; j < cands[k].size(); ++j) {
                 m.addImplicationGeLe(x_vars[k][j], 1, z_vars[k],
                                      cands[k][j]);
@@ -353,6 +356,138 @@ LcOpgPlanner::buildWindowModel(const WindowInput &in, double relax,
     return rm;
 }
 
+WindowFlowProblem
+LcOpgPlanner::flowProblem(const WindowInput &in, double relax,
+                          const std::vector<bool> &forced) const
+{
+    const std::int64_t mpeak_chunks = static_cast<std::int64_t>(
+        params_.mPeak / params_.chunkBytes);
+    const auto lambda_coef = objCoef(params_.lambda);
+    const auto mu_coef = objCoef(params_.mu);
+
+    WindowFlowProblem p;
+    p.layerCap.resize(static_cast<std::size_t>(in.end - in.minCand));
+    for (graph::NodeId l = in.minCand; l < in.end; ++l)
+        p.layerCap[l - in.minCand] = static_cast<std::int64_t>(
+            static_cast<double>(in.residual[l]) * relax);
+    p.supply.resize(in.weights.size());
+    p.preloadCost.assign(in.weights.size(),
+                         kFlowCostScale * lambda_coef);
+    p.arcs.resize(in.weights.size());
+    for (std::size_t k = 0; k < in.weights.size(); ++k) {
+        const auto consumer = g_.weight(in.weights[k]).consumer;
+        const std::int64_t t_w = chunk_count_[in.weights[k]];
+        p.supply[k] = t_w;
+        for (auto l : in.cands[k]) {
+            const std::size_t layer = l - in.minCand;
+            const std::int64_t cap =
+                forced[k] ? 0
+                          : std::min({t_w, p.layerCap[layer],
+                                      mpeak_chunks});
+            p.arcs[k].push_back(
+                {layer, cap, streamChunkCost(consumer - l, t_w, mu_coef)});
+        }
+    }
+    return p;
+}
+
+std::int64_t
+LcOpgPlanner::windowObjective(
+    const WindowInput &in, const std::vector<std::int64_t> &preload,
+    const std::vector<std::vector<std::pair<graph::NodeId,
+                                            std::int64_t>>> &assign)
+    const
+{
+    const auto lambda_coef = objCoef(params_.lambda);
+    const auto mu_coef = objCoef(params_.mu);
+    std::int64_t obj = 0;
+    for (std::size_t k = 0; k < in.weights.size(); ++k) {
+        const auto consumer = g_.weight(in.weights[k]).consumer;
+        obj += lambda_coef * preload[k];
+        graph::NodeId z = consumer;
+        for (const auto &[l, c] : assign[k]) {
+            obj += c * (consumer - l - 1);
+            z = std::min(z, l);
+        }
+        if (!in.cands[k].empty())
+            obj -= mu_coef * z;
+    }
+    return obj;
+}
+
+bool
+LcOpgPlanner::flowRound(WindowSolveState &st) const
+{
+    const WindowInput &in = *st.in;
+    WindowResult &result = st.out.result;
+    const auto mu_coef = objCoef(params_.mu);
+    const auto p = flowProblem(in, st.relax, st.forced);
+    const auto flow = solveWindowFlow(p);
+
+    std::vector<std::vector<std::pair<graph::NodeId, std::int64_t>>>
+        assign(in.weights.size());
+    // z_w: the earliest layer used (candidates ascend).
+    std::vector<graph::NodeId> z(in.weights.size(), graph::kInvalidNode);
+    // C2 over the staged in-flight snapshot: a chunk transformed at l
+    // for a weight consumed at i_w is in flight over [l, i_w).
+    std::vector<std::int64_t> inflight(p.layerCap.size() + 1, 0);
+    std::int64_t z_sum = 0;
+    for (std::size_t k = 0; k < in.weights.size(); ++k) {
+        const auto consumer = g_.weight(in.weights[k]).consumer;
+        for (std::size_t j = 0; j < in.cands[k].size(); ++j) {
+            const std::int64_t c = flow.flow[k][j];
+            if (c <= 0)
+                continue;
+            const graph::NodeId l = in.cands[k][j];
+            assign[k].push_back({l, c});
+            if (z[k] == graph::kInvalidNode)
+                z[k] = l;
+            inflight[l - in.minCand] += c;
+            inflight[consumer - in.minCand] -= c;
+        }
+        if (!in.cands[k].empty())
+            z_sum += consumer;
+    }
+    if (st.round == 0) {
+        // Round 0's hint is the greedy warm start, a feasible flow.
+        WindowFlow greedy{0, in.greedy.preload, {}};
+        greedy.flow.resize(in.weights.size());
+        for (std::size_t k = 0; k < in.weights.size(); ++k) {
+            greedy.flow[k].assign(in.cands[k].size(), 0);
+            for (const auto &[l, c] : in.greedy.assignments[k]) {
+                const auto j = std::lower_bound(in.cands[k].begin(),
+                                                in.cands[k].end(), l) -
+                               in.cands[k].begin();
+                greedy.flow[k][static_cast<std::size_t>(j)] = c;
+            }
+        }
+        result.flowCost = flow.cost;
+        result.hintFlowCost = flowCost(p, greedy);
+    }
+    result.flowBound = windowFlowBound(flow.cost, mu_coef, z_sum);
+
+    const std::int64_t mpeak_chunks = static_cast<std::int64_t>(
+        params_.mPeak / params_.chunkBytes);
+    std::int64_t running = 0;
+    for (graph::NodeId l = in.minCand; l < in.end; ++l) {
+        running += inflight[l - in.minCand];
+        if (running >
+            std::max<std::int64_t>(mpeak_chunks - in.inflight[l], 0))
+            return false;
+    }
+
+    st.out.preload = flow.preload;
+    st.out.assign = std::move(assign);
+    st.out.z = std::move(z);
+    result.flow = true;
+    result.objective =
+        windowObjective(in, st.out.preload, st.out.assign);
+    result.status = result.objective == result.flowBound
+                        ? solver::SolveStatus::Optimal
+                        : solver::SolveStatus::Feasible;
+    return true;
+}
+
 bool
 LcOpgPlanner::interpretRound(WindowSolveState &st,
                              const solver::SolveResult &r) const
@@ -370,6 +505,7 @@ LcOpgPlanner::interpretRound(WindowSolveState &st,
     result.conflicts += r.backtracks;
     result.restarts += r.restarts;
     result.status = r.status;
+    result.objective = r.objective;
     if (result.stopReason != solver::StopReason::TimeLimit)
         result.stopReason = r.stopReason;
 
@@ -387,25 +523,32 @@ LcOpgPlanner::interpretRound(WindowSolveState &st,
 
     // Extract candidate solution.
     const auto &weights = in.weights;
-    auto &extracted_preload = st.out.preload;
-    auto &extracted_assign = st.out.assign;
-    auto &extracted_z = st.out.z;
-    extracted_preload.assign(weights.size(), 0);
-    extracted_assign.assign(weights.size(), {});
-    Bytes window_bytes = 0, preload_bytes = 0;
+    st.out.preload.assign(weights.size(), 0);
+    st.out.assign.assign(weights.size(), {});
     for (std::size_t k = 0; k < weights.size(); ++k) {
-        extracted_preload[k] = r.value(st.rm.y_vars[k]);
-        window_bytes += g_.weight(weights[k]).bytes();
-        preload_bytes += slicer_.bytesForChunks(g_.weight(weights[k]),
-                                                extracted_preload[k]);
+        st.out.preload[k] = r.value(st.rm.y_vars[k]);
         for (std::size_t j = 0; j < in.cands[k].size(); ++j) {
             auto v = r.value(st.rm.x_vars[k][j]);
             if (v > 0)
-                extracted_assign[k].push_back({in.cands[k][j], v});
+                st.out.assign[k].push_back({in.cands[k][j], v});
         }
-        if (st.rm.z_vars[k] >= 0 && !extracted_assign[k].empty())
-            extracted_z[k] = static_cast<graph::NodeId>(
+        if (st.rm.z_vars[k] >= 0 && !st.out.assign[k].empty())
+            st.out.z[k] = static_cast<graph::NodeId>(
                 r.value(st.rm.z_vars[k]));
+    }
+    return finishRound(st);
+}
+
+bool
+LcOpgPlanner::finishRound(WindowSolveState &st) const
+{
+    const auto &weights = st.in->weights;
+    const auto &extracted_preload = st.out.preload;
+    Bytes window_bytes = 0, preload_bytes = 0;
+    for (std::size_t k = 0; k < weights.size(); ++k) {
+        window_bytes += g_.weight(weights[k]).bytes();
+        preload_bytes += slicer_.bytesForChunks(g_.weight(weights[k]),
+                                                extracted_preload[k]);
     }
 
     // Tier 2: if capacity pressure forced most of the window into W,
@@ -425,7 +568,7 @@ LcOpgPlanner::interpretRound(WindowSolveState &st,
         }
         if (worst_chunks > 0) {
             st.forced[worst] = true;
-            ++result.forcedPreloads;
+            ++st.out.result.forcedPreloads;
             ++st.round;
             return false;
         }
@@ -449,6 +592,9 @@ LcOpgPlanner::applyGreedy(const WindowInput &in, WindowOutput &out) const
             out.assign[k].empty() ? graph::kInvalidNode : z;
     }
     out.result.status = solver::SolveStatus::Feasible;
+    out.result.flow = false;
+    out.result.objective =
+        windowObjective(in, out.preload, out.assign);
 }
 
 void
@@ -622,12 +768,33 @@ LcOpgPlanner::plan(PlanStats *stats)
         sp.maxDecisions = params_.solverDecisionsPerWindow;
         sp.engine = params_.solverEngine;
         sp.restartConflictBase = params_.restartConflictBase;
-        // A round whose solve a kept record replays (the budget moved
-        // only rows the recorded search never tightened) takes the
-        // recorded result instead of searching; see
-        // solver::replaysRecord. Lookups and stores both run here on
-        // the main thread, in a thread-count-independent order.
-        auto submitRound = [&](WindowSolveState &st) {
+        // Runs @p st's rounds until one needs the CP search (then
+        // submitted) or the window is done. The flow settles every
+        // round whose solution satisfies C2; the rest build a model
+        // and search it. A round whose solve a kept record replays
+        // (the budget moved only rows the recorded search never
+        // tightened) takes the recorded result instead of searching;
+        // see solver::replaysRecord. Flows, lookups and stores all run
+        // here on the main thread, in a thread-count-independent
+        // order.
+        auto advance = [&](WindowSolveState &st) {
+            while (flowRound(st)) {
+                if (finishRound(st)) {
+                    st.done = true;
+                    return;
+                }
+            }
+            st.out.result.flow = false;
+            // Tier 3 guard: skip the solver outright for degenerate
+            // over-wide windows (solver cost grows superlinearly).
+            std::size_t var_estimate = 0;
+            for (const auto &c : st.in->cands)
+                var_estimate += c.size() + 2;
+            if (var_estimate > 2000) {
+                applyGreedy(*st.in, st.out);
+                st.done = true;
+                return;
+            }
             st.rm = buildWindowModel(*st.in, st.relax, st.forced);
             if (auto hit =
                     memoRef().findSolve(st.rm.model, st.rm.hint, sp)) {
@@ -652,17 +819,7 @@ LcOpgPlanner::plan(PlanStats *stats)
             }
             st.forced.assign(in.weights.size(), false);
             st.out.z.assign(in.weights.size(), graph::kInvalidNode);
-            // Tier 3 guard: skip the solver outright for degenerate
-            // over-wide windows (solver cost grows superlinearly).
-            std::size_t var_estimate = 0;
-            for (const auto &c : in.cands)
-                var_estimate += c.size() + 2;
-            if (var_estimate > 2000) {
-                applyGreedy(in, st.out);
-                st.done = true;
-                continue;
-            }
-            submitRound(st);
+            advance(st);
         }
         for (std::size_t i = 0; i < inputs.size(); ++i) {
             WindowSolveState &st = states[i];
@@ -675,7 +832,7 @@ LcOpgPlanner::plan(PlanStats *stats)
                                           std::move(st.rm.hint), sp,
                                           std::move(r)});
                 if (!st.done)
-                    submitRound(st);
+                    advance(st);
             }
             outputs.push_back(std::move(st.out));
         }
@@ -695,8 +852,9 @@ LcOpgPlanner::plan(PlanStats *stats)
     local.mergeSeconds = secondsSince(merge_t0);
 
     local.windowSummaries.reserve(outputs.size());
-    for (const auto &out : outputs) {
-        const auto &wr = out.result;
+    for (std::size_t i = 0; i < outputs.size(); ++i) {
+        const auto &wr = outputs[i].result;
+        const auto &in = inputs[i];
         PlanStats::WindowSolveSummary s;
         s.window = local.windows;
         s.status = wr.status;
@@ -707,6 +865,18 @@ LcOpgPlanner::plan(PlanStats *stats)
         s.restarts = wr.restarts;
         s.stopReason = wr.stopReason;
         s.reusedRounds = wr.reusedRounds;
+        s.flow = wr.flow;
+        if (!in.weights.empty())
+            s.hintObjective = windowObjective(in, in.greedy.preload,
+                                              in.greedy.assignments);
+        s.flowBound = wr.flowBound;
+        s.objective = wr.objective;
+        s.flowCost = wr.flowCost;
+        s.hintFlowCost = wr.hintFlowCost;
+        local.flowWindows += wr.flow;
+        local.hintObjective += s.hintObjective;
+        local.flowBound += s.flowBound;
+        local.objective += s.objective;
         local.windowSummaries.push_back(std::move(s));
         ++local.windows;
         local.symmetryRows += wr.lexRows;

@@ -18,6 +18,14 @@
  * fallback (soft-threshold relaxation -> incremental preloading ->
  * greedy backup) guarantees a plan within the time limit.
  *
+ * Flow first: every window round first solves its transportation core
+ * (C0, C3 and the variable caps; core/window_flow.hh) as an exact
+ * integer min-cost flow, with z_w set to the earliest layer the flow
+ * uses. When that solution also satisfies C2 on the staged in-flight
+ * snapshot it is the round's result: no CP model is built and nothing
+ * is searched. Only rounds where C2 binds fall back to the greedy
+ * warm start + CP search.
+ *
  * Whole-plan generation is a three-phase pipeline (PR 2):
  *   1. stage  — sequential: each window's inputs (weight slice,
  *      candidates, greedy warm start, residual-capacity snapshot) are
@@ -39,6 +47,7 @@
 #include <vector>
 
 #include "core/overlap_plan.hh"
+#include "core/window_flow.hh"
 #include "gpusim/kernel.hh"
 #include "profiler/capacity.hh"
 #include "solver/solver.hh"
@@ -71,10 +80,13 @@ struct OpgParams
     /** How many layers before i_w a chunk may be transformed. */
     int maxLoadDistance = 24;
     /**
-     * CP-SAT search budget per window, in decisions. A decision-based
-     * budget keeps planning bit-deterministic across hosts; the
-     * solver's own wall-clock limit (SolverParams::timeLimitSeconds)
-     * stays at its default, far beyond any window at this budget.
+     * CP search budget per window round, in decisions. Only rounds
+     * whose flow solution violates C2 search (see the file comment),
+     * so it bounds the C2-binding fallback, not every window. A
+     * decision-based budget keeps planning bit-deterministic across
+     * hosts; the solver's own wall-clock limit
+     * (SolverParams::timeLimitSeconds) stays at its default, far
+     * beyond any window at this budget.
      */
     std::uint64_t solverDecisionsPerWindow = 20000;
     /** C4 soft-threshold relaxation factor per fallback round. */
@@ -159,6 +171,24 @@ struct PlanStats
         solver::StopReason stopReason = solver::StopReason::Exhausted;
         /** Rounds answered by a PlanMemo solve record, not a search. */
         int reusedRounds = 0;
+        /** The final round was settled by the min-cost flow (its
+         * solution satisfied C2), not by the CP search. */
+        bool flow = false;
+        /** @name Window objectives (lambda/mu-scaled CP units).
+         * hintObjective is the greedy warm start's; flowBound the last
+         * flow round's certified lower bound (windowFlowBound());
+         * objective the shipped solution's, before the merge clamp. A
+         * flow round whose objective equals its bound is Optimal. @{ */
+        std::int64_t hintObjective = 0;
+        std::int64_t flowBound = 0;
+        std::int64_t objective = 0;
+        /** @} */
+        /** @name Round 0's flow cost, and the greedy warm start's cost
+         * on the same arcs (kFlowCostScale-scaled; flowCost <=
+         * hintFlowCost, since the greedy is a feasible flow). @{ */
+        std::int64_t flowCost = 0;
+        std::int64_t hintFlowCost = 0;
+        /** @} */
     };
 
     double processNodesSeconds = 0.0;   ///< graph analysis + capacities
@@ -176,6 +206,13 @@ struct PlanStats
     int softRelaxations = 0;            ///< C4 tier-1 events
     int forcedPreloads = 0;             ///< C4 tier-2 events
     int greedyWindows = 0;              ///< C4 tier-3 events
+    /** Windows whose final round the min-cost flow settled. */
+    int flowWindows = 0;
+    /** @name WindowSolveSummary objectives, summed over windows. @{ */
+    std::int64_t hintObjective = 0;
+    std::int64_t flowBound = 0;
+    std::int64_t objective = 0;
+    /** @} */
     /** Windows whose search stopped on the solver's wall-clock limit
      * (SolverParams::timeLimitSeconds) in any fallback round. */
     int timeLimitedWindows = 0;
@@ -219,12 +256,12 @@ class LcOpgPlanner
      * re-planning: the multi-DNN scheduler shifts a model's residual
      * capacity share when co-resident models are admitted or evicted).
      * Reuses the graph analysis of the first plan() call — only the
-     * staging/solve/merge phases re-run. A round whose budget change
-     * cannot reach its search replays a kept solve record instead of searching
-     * (PlanStats::reusedRounds), so a replan costs about its model
-     * builds when every round replays and a cold plan when none does:
-     * on the model-zoo 50/25/10% ladder, 2.5-66 ms per replan, up to
-     * 0.41 s for SD-UNet at 10% (Release, 4 threads, 4-vCPU Xeon).
+     * staging/solve/merge phases re-run. The flow settles every round
+     * whose budget leaves C2 slack; only C2-binding rounds search (a
+     * round whose budget change cannot reach a kept search replays it,
+     * PlanStats::reusedRounds). On the model-zoo 50/25/10% ladder a
+     * replan takes about 1 ms where the flow settles every round, up
+     * to 0.36 s for SD-UNet at 10% (Release, 4 threads, 4-vCPU Xeon).
      * Deterministic for any thread count, like plan().
      */
     OverlapPlan replan(Bytes mPeak, PlanStats *stats = nullptr);
@@ -252,6 +289,13 @@ class LcOpgPlanner
         /** See PlanStats::WindowSolveSummary::stopReason. */
         solver::StopReason stopReason = solver::StopReason::Exhausted;
         int lexRows = 0;        ///< symmetry-breaking rows added
+        /** @name See PlanStats::WindowSolveSummary. @{ */
+        bool flow = false;
+        std::int64_t flowBound = 0;
+        std::int64_t objective = 0;
+        std::int64_t flowCost = 0;
+        std::int64_t hintFlowCost = 0;
+        /** @} */
     };
 
     /**
@@ -335,16 +379,16 @@ class LcOpgPlanner
 
     /**
      * Per-window driver state for the flattened solve phase: plan()
-     * submits one task per (window, round) to the shared pool and
-     * interprets round results in window order, so the C4 fallback
-     * tiers (relax/forced) advance exactly as they did when each
-     * window ran its rounds inside one task.
+     * settles each round with the min-cost flow on the driver thread,
+     * submits one task per C2-binding (window, round) to the shared
+     * pool and interprets round results in window order, so the C4
+     * fallback tiers (relax/forced) advance exactly as they would if
+     * each window ran its rounds inside one task.
      */
     struct WindowSolveState
     {
         const WindowInput *in = nullptr;
         bool done = false;
-        bool useGreedy = false;
         int round = 0;
         double relax = 1.0;
         std::vector<bool> forced;
@@ -352,6 +396,39 @@ class LcOpgPlanner
         std::future<solver::SolveResult> solve;
         WindowOutput out;
     };
+
+    /**
+     * One round's transportation core (core/window_flow.hh): weights
+     * and arcs in @p in's order, layers indexed from in.minCand,
+     * streamChunkCost() per streamed chunk and kFlowCostScale * lambda
+     * per preloaded one.
+     */
+    WindowFlowProblem flowProblem(const WindowInput &in, double relax,
+                                  const std::vector<bool> &forced) const;
+
+    /**
+     * Solve @p st's current round as a min-cost flow. When the flow
+     * satisfies C2 on the staged in-flight snapshot, extract it into
+     * st.out (z_w = earliest layer used) and return true; otherwise
+     * the round needs the CP fallback.
+     */
+    bool flowRound(WindowSolveState &st) const;
+
+    /**
+     * C4 tier 2 on the round's extracted solution: when capacity
+     * pressure forced most of the window into W, pin the heaviest
+     * offender and advance to the next round. @return true when the
+     * window is done.
+     */
+    bool finishRound(WindowSolveState &st) const;
+
+    /** CP window objective of a placement, z_w = earliest layer used
+     * (i_w when none) for weights with candidates. */
+    std::int64_t windowObjective(
+        const WindowInput &in, const std::vector<std::int64_t> &preload,
+        const std::vector<std::vector<std::pair<graph::NodeId,
+                                                std::int64_t>>> &assign)
+        const;
 
     /** Build one round's model for @p in (pure; see RoundModel). */
     RoundModel buildWindowModel(const WindowInput &in, double relax,

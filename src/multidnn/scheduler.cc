@@ -12,6 +12,9 @@ static_assert(static_cast<int>(solver::StopReason::Exhausted) == 0 &&
                       1 &&
                   static_cast<int>(solver::StopReason::TimeLimit) == 2,
               "obs::stopReasonCodeName mirrors these values");
+/** solver_window stop code of a window the min-cost flow settled
+ * (obs::stopReasonCodeName renders it as "flow"). */
+constexpr std::int32_t kFlowStopCode = 3;
 
 namespace {
 
@@ -388,7 +391,8 @@ EventScheduler::run(const std::vector<ModelRequest> &queue,
                                     solver::SolveStatus::Optimal
                             ? 1
                             : 0,
-                        static_cast<std::int32_t>(w.stopReason),
+                        w.flow ? kFlowStopCode
+                               : static_cast<std::int32_t>(w.stopReason),
                         w.reusedRounds);
             }
             core::RunResult r;

@@ -122,6 +122,7 @@ stopReasonCodeName(std::int64_t code)
       case 0: return "exhausted";
       case 1: return "decision_limit";
       case 2: return "time_limit";
+      case 3: return "flow";
     }
     return "?";
 }

@@ -10,6 +10,7 @@
 
 #include "baselines/preload_framework.hh"
 #include "core/flashmem.hh"
+#include "core/lc_opg.hh"
 #include "models/model_zoo.hh"
 #include "multidnn/fifo_scheduler.hh"
 
@@ -103,14 +104,69 @@ TEST(Integration, EnergyConsistentWithPowerAndTime)
 
 TEST(Integration, CompileIsDeviceSpecific)
 {
-    // Capacities depend on the device, so plans differ across phones.
+    // Capacities depend on the device, so capacities and plans differ
+    // across phones. Neither phone's capacities dominate the other's
+    // (on GPTN-S the Mi6 sums to more chunks but is smaller on some
+    // layers), so no preload order between them follows;
+    // ScaledCapacityNeverRaisesPreload pins the ordered case.
     auto g = models::buildModel(ModelId::GPTNeoS);
-    auto fast = FlashMem(DeviceProfile::onePlus12()).compile(g);
-    auto slow = FlashMem(DeviceProfile::xiaomiMi6()).compile(g);
-    // The slower GPU has less compute slack to hide loads, so it must
-    // preload at least as much.
-    EXPECT_GE(slow.plan.preloadBytes(slow.fusedGraph),
-              fast.plan.preloadBytes(fast.fusedGraph));
+    std::vector<std::vector<std::int64_t>> capacities;
+    std::vector<std::string> plans;
+    for (const auto &dev :
+         {DeviceProfile::onePlus12(), DeviceProfile::xiaomiMi6()}) {
+        plans.push_back(FlashMem(dev).compile(g).plan.serialize());
+        gpusim::KernelModel km(dev);
+        profiler::AnalyticCapacityProvider cap(km);
+        core::LcOpgPlanner planner(g, cap, km);
+        planner.plan();
+        capacities.push_back(planner.layerCapacities());
+    }
+    EXPECT_NE(capacities[0], capacities[1]);
+    EXPECT_NE(plans[0], plans[1]);
+}
+
+/** Another provider's capacities scaled by a constant factor: the same
+ * device with uniformly more load slack. */
+class ScaledCapacity : public profiler::CapacityProvider
+{
+  public:
+    ScaledCapacity(const profiler::CapacityProvider &base, double factor)
+        : base_(base), factor_(factor)
+    {}
+
+    Bytes
+    capacityBytes(const gpusim::KernelSpec &spec) const override
+    {
+        return static_cast<Bytes>(
+            factor_ * static_cast<double>(base_.capacityBytes(spec)));
+    }
+
+  private:
+    const profiler::CapacityProvider &base_;
+    double factor_;
+};
+
+TEST(Integration, ScaledCapacityNeverRaisesPreload)
+{
+    // More load capacity on every layer never makes the planner
+    // preload more: on every zoo model, scaling the capacities by
+    // x1.25, x1.5 and x2 preloads at most what the previous factor did.
+    gpusim::KernelModel km(DeviceProfile::onePlus12());
+    profiler::AnalyticCapacityProvider base(km);
+    for (const auto &spec : models::modelZoo()) {
+        const auto g = models::buildModel(spec.id);
+        Bytes previous = 0;
+        for (double factor : {1.0, 1.25, 1.5, 2.0}) {
+            ScaledCapacity cap(base, factor);
+            const Bytes preload =
+                core::LcOpgPlanner(g, cap, km).plan().preloadBytes(g);
+            SCOPED_TRACE(spec.abbr + " x" + std::to_string(factor));
+            if (factor > 1.0) {
+                EXPECT_LE(preload, previous);
+            }
+            previous = preload;
+        }
+    }
 }
 
 TEST(Integration, EndToEndDeterminism)

@@ -42,7 +42,9 @@ abbrTestName(ModelId id)
     return name;
 }
 
-/** Table-6 size checks, parameterized on the published spec. */
+/** Table-6 size checks, parameterized on the published spec. The
+ * ModelSpec parameter prints as raw bytes in test names; these checks
+ * are moving into ZooGraph (ModelId parameter) a few at a time. */
 class ZooModel : public ::testing::TestWithParam<ModelSpec>
 {
   protected:
@@ -50,17 +52,6 @@ class ZooModel : public ::testing::TestWithParam<ModelSpec>
     build() const
     {
         return buildModel(GetParam().id);
-    }
-};
-
-/** Graph-structure checks, parameterized on the model id. */
-class ZooGraph : public ::testing::TestWithParam<ModelId>
-{
-  protected:
-    Graph
-    build() const
-    {
-        return buildModel(GetParam());
     }
 };
 
@@ -72,16 +63,6 @@ TEST_P(ZooModel, ParamsMatchPaperTable6)
     EXPECT_GT(rel, 0.88) << "params " << params_m << "M vs paper "
                          << GetParam().paperParamsM << "M";
     EXPECT_LT(rel, 1.12);
-}
-
-TEST_P(ZooModel, MacsMatchPaperTable6)
-{
-    auto g = build();
-    double macs_g = static_cast<double>(g.totalMacs()) / 1e9;
-    double rel = macs_g / GetParam().paperMacsG;
-    EXPECT_GT(rel, 0.75) << "MACs " << macs_g << "G vs paper "
-                         << GetParam().paperMacsG << "G";
-    EXPECT_LT(rel, 1.25);
 }
 
 TEST_P(ZooModel, LayerCountMatchesPaperTable6)
@@ -99,6 +80,29 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<ModelSpec> &info) {
         return abbrTestName(info.param.id);
     });
+
+/** Zoo checks, parameterized on the model id. */
+class ZooGraph : public ::testing::TestWithParam<ModelId>
+{
+  protected:
+    Graph
+    build() const
+    {
+        return buildModel(GetParam());
+    }
+
+    const ModelSpec &spec() const { return modelSpec(GetParam()); }
+};
+
+TEST_P(ZooGraph, MacsMatchPaperTable6)
+{
+    auto g = build();
+    double macs_g = static_cast<double>(g.totalMacs()) / 1e9;
+    double rel = macs_g / spec().paperMacsG;
+    EXPECT_GT(rel, 0.75) << "MACs " << macs_g << "G vs paper "
+                         << spec().paperMacsG << "G";
+    EXPECT_LT(rel, 1.25);
+}
 
 std::vector<ModelId>
 zooIds()

@@ -202,7 +202,10 @@ TEST(Logging, RateLimitedWarnCountsAndSuppresses)
 
 /** The fig6 determinism workload: memory-aware re-planning under a
  * tight shared budget, so the planner-side events (replan,
- * solver_window) are exercised. */
+ * solver_window) are exercised. The budget binds C2 in some of
+ * GPTN-1.3B's replan windows, so those search; the flow settles the
+ * rest. Two scheduler sessions share one memo, so the second
+ * session's replans replay the first's searched rounds. */
 multidnn::ScheduleOutcome
 runTracedSchedulerArm(int planner_threads, TraceRecorder &rec)
 {
@@ -212,13 +215,17 @@ runTracedSchedulerArm(int planner_threads, TraceRecorder &rec)
     opt.opg.memo = &memo;
     core::FlashMem fm(gpusim::DeviceProfile::onePlus12(), opt);
     multidnn::SchedulerConfig cfg;
-    cfg.capacityBudget = mib(768);
+    cfg.capacityBudget = mib(150);
+    cfg.minModelBudget = mib(32);
+    cfg.budgetQuantum = mib(16);
     cfg.trace = &rec;
-    multidnn::EventScheduler sched(fm, cfg);
     auto queue = multidnn::interleavedWorkload(
-        {ModelId::ResNet50, ModelId::GPTNeoS, ModelId::DepthAnythingS},
+        {ModelId::ResNet50, ModelId::GPTNeo1_3B, ModelId::DepthAnythingS},
         /*iterations=*/2, /*gap=*/milliseconds(10), /*seed=*/17);
-    return sched.run(queue, multidnn::MemoryAwarePolicy{});
+    multidnn::EventScheduler(fm, cfg).run(queue,
+                                          multidnn::MemoryAwarePolicy{});
+    return multidnn::EventScheduler(fm, cfg).run(
+        queue, multidnn::MemoryAwarePolicy{});
 }
 
 TEST(TraceDeterminism, SchedulerTraceIdenticalAcrossPlannerThreads)
@@ -237,6 +244,11 @@ TEST(TraceDeterminism, SchedulerTraceIdenticalAcrossPlannerThreads)
     ASSERT_NE(text1.find("solver_window"), std::string::npos);
     ASSERT_NE(text1.find(" stop="), std::string::npos);
     ASSERT_NE(text1.find("request_dispatch"), std::string::npos);
+    // Flow-settled windows say so; C2-binding ones ran the CP path.
+    EXPECT_NE(text1.find(" stop=flow "), std::string::npos) << text1;
+    EXPECT_NE(text1.find(" stop=decision_limit "), std::string::npos)
+        << "the CP path ran\n"
+        << text1;
     // Some re-plan rounds replay a kept solve record, and say so.
     EXPECT_NE(text1.find(" reused=1\n"), std::string::npos) << text1;
 

@@ -14,7 +14,8 @@
 #   lex-row leader functions multiply saturating positional weights
 #   into int64 sums, the solver's closest brush with overflow) and the
 #   solve-reuse tests (the replay certificate adds row spans to
-#   recorded sums under overflow checks). The
+#   recorded sums under overflow checks), and the window-flow tests
+#   (integer costs scaled by 1000 and summed over every chunk). The
 #   address build already folds UBSan in, so 'undefined' is the
 #   standalone UBSan build for isolating alignment/overflow reports
 #   from ASan noise. Extra ctest arguments
@@ -63,9 +64,10 @@ case "$requested" in
     all)
         run_one address
         run_one thread
-        # Focused UBSan arm: the symmetry lex rows and the solve-reuse
-        # certificates, alone, under the standalone UBSan build.
-        run_one undefined -R 'Symmetry|SolveReuse|ReplanReuse'
+        # Focused UBSan arm: the symmetry lex rows, the solve-reuse
+        # certificates and the window flow, alone, under the standalone
+        # UBSan build.
+        run_one undefined -R 'Symmetry|SolveReuse|ReplanReuse|WindowFlow|FlowFirst'
         ;;
     *)  echo "usage: $0 [address|thread|undefined]" >&2; exit 2 ;;
 esac
