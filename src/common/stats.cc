@@ -161,6 +161,21 @@ TimeSeries::record(SimTime time, double value)
     points_.push_back({time, value});
 }
 
+void
+TimeSeries::appendShifted(const TimeSeries &run, SimTime offset)
+{
+    if (run.points_.empty())
+        return;
+    const Point &first = run.points_.front();
+    FM_ASSERT(points_.empty() ||
+                  points_.back().time == first.time + offset ||
+                  points_.back().value != first.value,
+              "appended run's first point repeats the value in effect");
+    record(first.time + offset, first.value);
+    for (auto it = run.points_.begin() + 1; it != run.points_.end(); ++it)
+        points_.push_back({it->time + offset, it->value});
+}
+
 double
 TimeSeries::peak() const
 {

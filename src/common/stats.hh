@@ -98,6 +98,18 @@ class TimeSeries
     /** Record that the series holds @p value from @p time onwards. */
     void record(SimTime time, double value);
 
+    /**
+     * Append @p run shifted by @p offset, leaving exactly the points
+     * that record()ing the samples behind @p run, each @p offset
+     * later, would have left. The first point goes through record(),
+     * so it collapses into this series' last point as a live sample
+     * would; the rest are copied, since @p run already collapsed them
+     * against each other. Requires the first shifted point to land on
+     * the last point's timestamp or to change its value: otherwise
+     * whether a live sample would have left a point there is lost.
+     */
+    void appendShifted(const TimeSeries &run, SimTime offset);
+
     bool empty() const { return points_.empty(); }
     const std::vector<Point> &points() const { return points_; }
 

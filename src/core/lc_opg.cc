@@ -866,7 +866,8 @@ LcOpgPlanner::plan(PlanStats *stats)
         s.stopReason = wr.stopReason;
         s.reusedRounds = wr.reusedRounds;
         s.flow = wr.flow;
-        if (!in.weights.empty())
+        s.empty = in.weights.empty();
+        if (!s.empty)
             s.hintObjective = windowObjective(in, in.greedy.preload,
                                               in.greedy.assignments);
         s.flowBound = wr.flowBound;
@@ -891,7 +892,9 @@ LcOpgPlanner::plan(PlanStats *stats)
         local.reusedRounds += wr.reusedRounds;
         if (wr.stopReason == solver::StopReason::TimeLimit)
             ++local.timeLimitedWindows;
-        if (wr.usedGreedy) {
+        if (in.weights.empty()) {
+            ++local.emptyWindows;
+        } else if (wr.usedGreedy) {
             ++local.greedyWindows;
         } else if (wr.status == solver::SolveStatus::Optimal) {
             ++local.optimalWindows;

@@ -174,6 +174,9 @@ struct PlanStats
         /** The final round was settled by the min-cost flow (its
          * solution satisfied C2), not by the CP search. */
         bool flow = false;
+        /** The window had no weights to place, so nothing was solved
+         * (counted in PlanStats::emptyWindows, never as optimal). */
+        bool empty = false;
         /** @name Window objectives (lambda/mu-scaled CP units).
          * hintObjective is the greedy warm start's; flowBound the last
          * flow round's certified lower bound (windowFlowBound());
@@ -200,9 +203,12 @@ struct PlanStats
     double solveCpuSeconds = 0.0;
     double mergeSeconds = 0.0;          ///< ordered commit + validation bookkeeping
     solver::SolveStatus overallStatus = solver::SolveStatus::Optimal;
+    /** optimal + feasible + greedy + empty windows. */
     int windows = 0;
     int optimalWindows = 0;
     int feasibleWindows = 0;
+    /** Windows with no weights to place (nothing solved). */
+    int emptyWindows = 0;
     int softRelaxations = 0;            ///< C4 tier-1 events
     int forcedPreloads = 0;             ///< C4 tier-2 events
     int greedyWindows = 0;              ///< C4 tier-3 events

@@ -48,6 +48,35 @@ MemoryTracker::free(MemKind kind, Bytes bytes, SimTime at)
     total_trace_.record(clamp(at), static_cast<double>(total_));
 }
 
+void
+MemoryTracker::appendShifted(const MemoryTracker &run, SimTime at)
+{
+    FM_ASSERT(total_ == 0 && last_time_ <= at,
+              "replay at ", at, " onto a tracker with ", total_,
+              " bytes live and samples up to ", last_time_);
+    FM_ASSERT(run.total_ == 0, "replayed run ended with ", run.total_,
+              " bytes live");
+    const auto &pts = run.total_trace_.points();
+    if (pts.empty())
+        return;
+    FM_ASSERT(pts.front().time == 0, "replayed run starts at ",
+              pts.front().time, ", not 0");
+    for (std::size_t i = 0; i + 1 < pts.size(); ++i)
+        FM_ASSERT(pts[i].value > 0, "replayed trace holds more than one "
+                                    "run: nothing live at ", pts[i].time);
+
+    total_trace_.appendShifted(run.total_trace_, at);
+    last_time_ = at + run.last_time_;
+    // This tracker starts the run empty, so its totals retrace the
+    // run's exactly.
+    peak_ = std::max(peak_, run.peak_);
+    for (std::size_t k = 0; k < kNumKinds; ++k)
+        peak_per_kind_[k] = std::max(peak_per_kind_[k],
+                                     run.peak_per_kind_[k]);
+    if (budget_ > 0 && run.peak_ > budget_)
+        oom_ = true;
+}
+
 Bytes
 MemoryTracker::peakOver(SimTime start, SimTime end) const
 {

@@ -57,6 +57,17 @@ class MemoryTracker
     /** Record a release of @p bytes at simulated time @p at. */
     void free(MemKind kind, Bytes bytes, SimTime at);
 
+    /**
+     * Append @p run's single run shifted to start at @p at, leaving
+     * this tracker exactly as replaying its alloc/free calls @p at
+     * later would: the trace (see TimeSeries::appendShifted), the
+     * peaks, the OOM flag and the clamp time. @p run must hold one
+     * run started at 0: its trace starts at 0 and stays positive until
+     * its last point, where nothing is live. This tracker must be idle
+     * at @p at: nothing live and no sample after @p at.
+     */
+    void appendShifted(const MemoryTracker &run, SimTime at);
+
     /** Largest total inside [start, end] (per-run peak queries). */
     Bytes peakOver(SimTime start, SimTime end) const;
 
@@ -65,6 +76,8 @@ class MemoryTracker
     Bytes used(MemKind kind) const;
     Bytes peak() const { return peak_; }
     Bytes peak(MemKind kind) const;
+    /** Latest (clamped) timestamp recorded so far. */
+    SimTime lastTime() const { return last_time_; }
     /** @} */
 
     /** Total live bytes over time (the Figure-6 trace). */

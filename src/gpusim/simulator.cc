@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "common/logging.hh"
+
 namespace flashmem::gpusim {
 
 GpuSimulator::GpuSimulator(DeviceProfile dev)
@@ -18,6 +20,24 @@ GpuSimulator::horizon() const
 {
     return std::max({disk_.freeAt(), transform_.freeAt(),
                      compute_.freeAt()});
+}
+
+bool
+GpuSimulator::idleAt(SimTime at) const
+{
+    return horizon() <= at && memory_.used() == 0 &&
+           memory_.lastTime() <= at;
+}
+
+void
+GpuSimulator::replay(const GpuSimulator &solo, SimTime at)
+{
+    FM_ASSERT(idleAt(at), "replay at ", at,
+              " onto a simulator busy until ", horizon());
+    disk_.appendShifted(solo.disk_, at);
+    transform_.appendShifted(solo.transform_, at);
+    compute_.appendShifted(solo.compute_, at);
+    memory_.appendShifted(solo.memory_, at);
 }
 
 ActivitySummary

@@ -39,6 +39,25 @@ class GpuSimulator
     /** Latest point any resource is busy until. */
     SimTime horizon() const;
 
+    /** True when a run started at @p at would find every resource
+     * free and nothing live: no timeline busy past @p at, no bytes
+     * live, no memory sample after @p at. */
+    bool idleAt(SimTime at) const;
+
+    /**
+     * Append @p solo's single run as if it had been executed again on
+     * this simulator starting at @p at: every timeline's horizon, busy
+     * time, reservation count and bytes moved, and the memory trace,
+     * peaks and OOM flag, end exactly as that execution would leave
+     * them, at a cost linear in the run's trace points instead of its
+     * kernels. Sound because executions on an idle simulator are
+     * start-time invariant. Preconditions (asserted): this simulator
+     * is idleAt(@p at), and @p solo, built on the same device profile,
+     * holds exactly one run, started at 0, that ended with nothing
+     * live (MemoryTracker::appendShifted).
+     */
+    void replay(const GpuSimulator &solo, SimTime at);
+
     /** Activity summary up to @p makespan (for power/energy). */
     ActivitySummary activity(SimTime makespan) const;
 

@@ -19,6 +19,18 @@ Timeline::reserve(SimTime earliest, SimTime duration)
 }
 
 void
+Timeline::appendShifted(const Timeline &run, SimTime at)
+{
+    FM_ASSERT(free_at_ <= at, name_, " is busy until ", free_at_,
+              ", past the replay start ", at);
+    if (run.reservations_ == 0)
+        return;
+    free_at_ = at + run.free_at_;
+    busy_time_ += run.busy_time_;
+    reservations_ += run.reservations_;
+}
+
+void
 Timeline::reset()
 {
     free_at_ = 0;
@@ -36,6 +48,13 @@ BandwidthTimeline::transfer(SimTime earliest, Bytes bytes)
     auto iv = timeline_.reserve(earliest, duration);
     bytes_moved_ += bytes;
     return iv;
+}
+
+void
+BandwidthTimeline::appendShifted(const BandwidthTimeline &run, SimTime at)
+{
+    timeline_.appendShifted(run.timeline_, at);
+    bytes_moved_ += run.bytes_moved_;
 }
 
 void

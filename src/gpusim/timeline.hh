@@ -49,6 +49,14 @@ class Timeline
 
     const std::string &name() const { return name_; }
 
+    /**
+     * Append @p run's reservations shifted by @p at, as if each had been
+     * made again @p at later. @p run must hold one run started at 0
+     * and this timeline must be free by @p at, so no shifted
+     * reservation waits and only the horizon and totals move.
+     */
+    void appendShifted(const Timeline &run, SimTime at);
+
     /** Reset to an idle state at time 0. */
     void reset();
 
@@ -81,6 +89,10 @@ class BandwidthTimeline
     SimTime busyTime() const { return timeline_.busyTime(); }
     Bytes bytesMoved() const { return bytes_moved_; }
     Bandwidth bandwidth() const { return bandwidth_; }
+
+    /** Timeline::appendShifted, plus @p run's bytes. A shifted transfer
+     * still finds the channel idle, so it pays the same overhead. */
+    void appendShifted(const BandwidthTimeline &run, SimTime at);
 
     void reset();
 

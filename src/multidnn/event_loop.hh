@@ -7,12 +7,13 @@
  * copy of the same simulation-clock loop, and their bit-exact
  * equivalence rested on keeping the copies in sync by hand. The loop
  * now lives here once, templated over backend hooks, so the real
- * scheduler (full streamed executions) and the fast simulator
- * (calibrated service-table lookups) literally run the same control
- * flow: same event ordering, same admission pass, same policy
- * selection, same device placement, and — with a FaultPlan — the same
- * fault timeline and recovery decisions. The cross-validation
- * invariant holds by construction, failure path included.
+ * scheduler (streamed executions, replayed onto idle devices) and
+ * the fast simulator (calibrated service-table lookups) literally run
+ * the same control flow: same event ordering, same admission pass,
+ * same policy selection, same device placement, and — with a
+ * FaultPlan — the same fault timeline and recovery decisions. The
+ * cross-validation invariant holds by construction, failure path
+ * included.
  *
  * Event ordering at equal timestamps: injected faults first (a crash
  * at time T kills the runs in flight at T before anything else

@@ -299,7 +299,7 @@ EventScheduler::compiledFor(models::ModelId model, Bytes budget,
     return it->second;
 }
 
-const core::RunResult &
+const EventScheduler::Profile &
 EventScheduler::profileFor(models::ModelId model, Bytes budget,
                            ScheduleOutcome &out)
 {
@@ -308,10 +308,12 @@ EventScheduler::profileFor(models::ModelId model, Bytes budget,
     if (it != profiles_.end())
         return it->second;
     const auto &compiled = compiledFor(model, budget, out);
-    gpusim::GpuSimulator scratch(fm_.device());
-    it = profiles_.emplace(key, fm_.execute(scratch, compiled, 0))
+    it = profiles_
+             .emplace(key, Profile{gpusim::GpuSimulator(fm_.device()), {}})
              .first;
-    return it->second;
+    auto &prof = it->second;
+    prof.run = fm_.execute(prof.sim, compiled, 0);
+    return prof;
 }
 
 SimTime
@@ -319,7 +321,7 @@ EventScheduler::estimateFor(models::ModelId model, ScheduleOutcome &out)
 {
     // Warm estimate: one run on a scratch simulator at the base budget.
     return profileFor(model, fm_.options().opg.mPeak, out)
-        .integratedLatency();
+        .run.integratedLatency();
 }
 
 ScheduleOutcome
@@ -340,7 +342,6 @@ EventScheduler::run(const std::vector<ModelRequest> &queue,
 
     const bool memory_aware =
         policy.memoryAware() && cfg_.replanOnBudgetShift;
-    const bool faulty = !cfg_.faults.empty();
     DeviceCluster cluster(cfg_.cluster);
     std::vector<gpusim::GpuSimulator> sims;
     sims.reserve(static_cast<std::size_t>(cluster.deviceCount()));
@@ -386,7 +387,7 @@ EventScheduler::run(const std::vector<ModelRequest> &queue,
                         static_cast<std::int64_t>(w.conflicts),
                         static_cast<std::int64_t>(w.restarts),
                         static_cast<std::int64_t>(w.propagations),
-                        !w.usedGreedy &&
+                        !w.empty && !w.usedGreedy &&
                                 w.status ==
                                     solver::SolveStatus::Optimal
                             ? 1
@@ -395,38 +396,32 @@ EventScheduler::run(const std::vector<ModelRequest> &queue,
                                : static_cast<std::int32_t>(w.stopReason),
                         w.reusedRounds);
             }
-            core::RunResult r;
-            if (!cluster.overlap() && !faulty) {
-                // Serialized device: the streamed execution runs on a
-                // fully idle simulator, so its own times are final.
-                r = fm_.execute(sim, cm, now);
-            } else {
-                // Cross-request overlap and/or fault injection: the
-                // run's timeline follows the cluster's two-resource
-                // model, with the measured solo init/exec split of
-                // this (model, budget) — under faults this routes
-                // even the serialized device through planTimes, so
-                // slowdown scaling applies identically on both
-                // execution paths. The execution on the device
-                // simulator keeps the memory and energy traces real
-                // (its kernels queue behind the previous run's on the
-                // shared compute timeline).
-                const auto &prof =
-                    profileFor(picked.model, budget, replan_acc);
-                auto t = cluster.planTimes(dev, now,
-                                           prof.initLatency(),
-                                           prof.execLatency());
+            // Every run takes its times from the solo profile of its
+            // (model, budget), placed by the cluster's resource model
+            // (under faults, slowdown scaling included). The device
+            // simulator keeps the memory and energy traces real: idle
+            // at the run's start — always on a serialized fault-free
+            // device — it replays the profile's run shifted there;
+            // otherwise (queued behind the previous run under overlap,
+            // or behind a killed run's execution under faults) the run
+            // executes, its kernels queuing behind the earlier ones.
+            const auto &prof =
+                profileFor(picked.model, budget, replan_acc);
+            auto t = cluster.planTimes(dev, now, prof.run.initLatency(),
+                                       prof.run.execLatency());
+            if (sim.idleAt(t.start))
+                sim.replay(prof.sim, t.start);
+            else
                 fm_.execute(sim, cm, t.start);
-                r = prof;
-                r.start = t.start;
-                r.initDone = t.initDone;
-                r.end = t.end;
-            }
+            core::RunResult r = prof.run;
+            r.start = t.start;
+            r.initDone = t.initDone;
+            r.end = t.end;
             cluster.commit(dev, picked.model, budget,
                            {r.start, r.initDone, r.end});
             return {dev, std::move(r)};
         },
-        faulty ? &cfg_.faults : nullptr, cfg_.recovery,
+        cfg_.faults.empty() ? nullptr : &cfg_.faults, cfg_.recovery,
         cfg_.arrivalAdmission, cfg_.trace);
     summarize(sims, cluster, out);
     out.replans += replan_acc.replans;

@@ -247,14 +247,22 @@ class EventScheduler
                                            Bytes budget,
                                            ScheduleOutcome &out);
 
-    /** Measured solo run of (model, budget) on a scratch simulator —
-     * the init/exec split the cross-request overlap model places runs
-     * with, and the source of warm latency estimates. Cached;
-     * executions are start-time invariant so one measurement covers
-     * every dispatch. */
-    const core::RunResult &profileFor(models::ModelId model,
-                                      Bytes budget,
-                                      ScheduleOutcome &out);
+    /** One (model, budget)'s solo run: the scratch simulator it
+     * executed on, starting at 0, and its result. */
+    struct Profile
+    {
+        gpusim::GpuSimulator sim;
+        core::RunResult run;
+    };
+
+    /** Measured solo run of (model, budget), executed once and cached.
+     * Executions are start-time invariant, so it serves every
+     * dispatch: its init/exec split is what the cluster places runs
+     * with, its result is every run's RunResult, its scratch
+     * simulator is what an idle device replays, and its latency is
+     * the warm estimate. */
+    const Profile &profileFor(models::ModelId model, Bytes budget,
+                              ScheduleOutcome &out);
 
     /** Warm single-run latency estimate (scratch simulator). */
     SimTime estimateFor(models::ModelId model, ScheduleOutcome &out);
@@ -272,8 +280,7 @@ class EventScheduler
     std::map<models::ModelId, graph::Graph> graphs_;
     std::map<std::pair<models::ModelId, Bytes>, core::CompiledModel>
         compiled_;
-    std::map<std::pair<models::ModelId, Bytes>, core::RunResult>
-        profiles_;
+    std::map<std::pair<models::ModelId, Bytes>, Profile> profiles_;
 };
 
 } // namespace flashmem::multidnn

@@ -420,6 +420,100 @@ randomEndpoint(Rng &rng, const std::vector<TimeSeries::Point> &points)
     }
 }
 
+namespace {
+
+struct Sample
+{
+    SimTime time;
+    double value;
+};
+
+/** Points left by record()ing @p raw, each shifted by @p offset, after
+ * @p prefix. */
+TimeSeries
+recordAll(const std::vector<Sample> &prefix, const std::vector<Sample> &raw,
+          SimTime offset)
+{
+    TimeSeries ts;
+    for (const auto &s : prefix)
+        ts.record(s.time, s.value);
+    for (const auto &s : raw)
+        ts.record(s.time + offset, s.value);
+    return ts;
+}
+
+void
+expectSamePoints(const TimeSeries &want, const TimeSeries &got)
+{
+    ASSERT_EQ(want.points().size(), got.points().size());
+    for (std::size_t i = 0; i < want.points().size(); ++i) {
+        EXPECT_EQ(want.points()[i].time, got.points()[i].time);
+        EXPECT_EQ(want.points()[i].value, got.points()[i].value);
+    }
+}
+
+} // namespace
+
+TEST(TimeSeries, AppendShiftedMatchesRecordingTheRawSamples)
+{
+    // Raw runs whose collapsed points are not canonical: an update
+    // back to the previous value at a new timestamp leaves a point
+    // that repeats the value, which appending must keep.
+    const std::vector<std::vector<Sample>> runs = {
+        {{0, 5}, {4, 3}, {4, 5}, {9, 0}},
+        {{0, 2}, {0, 7}, {3, 7}, {3, 1}, {3, 7}, {8, 7}, {8, 0}},
+        {{0, 4}, {2, 4}, {6, 0}},
+    };
+    // Prefixes ending on 0 (an idle tracker): before the offset, on it.
+    const std::vector<std::vector<Sample>> prefixes = {
+        {}, {{0, 3}, {5, 0}}, {{0, 3}, {10, 0}}};
+    const SimTime offset = 10;
+    for (std::size_t r = 0; r < runs.size(); ++r) {
+        TimeSeries run = recordAll({}, runs[r], 0);
+        for (std::size_t p = 0; p < prefixes.size(); ++p) {
+            SCOPED_TRACE(testing::Message() << "run " << r << " prefix "
+                                            << p);
+            TimeSeries got = recordAll(prefixes[p], {}, 0);
+            got.appendShifted(run, offset);
+            expectSamePoints(recordAll(prefixes[p], runs[r], offset), got);
+        }
+    }
+
+    // Randomized: values from a small set so repeats are common.
+    Rng rng(20261020);
+    for (int trial = 0; trial < 500; ++trial) {
+        std::vector<Sample> raw;
+        SimTime t = 0;
+        const int n = static_cast<int>(rng.uniformInt(1, 12));
+        for (int i = 0; i < n; ++i) {
+            t += rng.uniformInt(0, 2);
+            raw.push_back({t, static_cast<double>(rng.uniformInt(0, 3))});
+        }
+        const std::vector<Sample> prefix = {
+            {0, 1}, {rng.uniformInt(1, offset), 0}};
+        TimeSeries run = recordAll({}, raw, 0);
+        TimeSeries got = recordAll(prefix, {}, 0);
+        const auto &first = run.points().front();
+        if (got.points().back().time != first.time + offset &&
+            got.points().back().value == first.value)
+            continue; // ambiguous; appendShifted asserts it
+        SCOPED_TRACE(testing::Message() << "trial " << trial);
+        got.appendShifted(run, offset);
+        expectSamePoints(recordAll(prefix, raw, offset), got);
+    }
+}
+
+TEST(TimeSeries, AppendShiftedRejectsAnAmbiguousFirstPoint)
+{
+    // Whether the raw samples behind a first point equal to the value
+    // in effect left a point is not recoverable from the points.
+    TimeSeries run;
+    run.record(0, 0.0);
+    TimeSeries ts;
+    ts.record(0, 0.0);
+    EXPECT_DEATH(ts.appendShifted(run, 5), "repeats the value");
+}
+
 TEST(TimeSeries, WindowedQueriesMatchLinearScanBitForBit)
 {
     Rng rng(20261017);

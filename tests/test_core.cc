@@ -7,8 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <iterator>
 #include <limits>
 #include <set>
 #include <thread>
@@ -301,17 +303,29 @@ TEST(LcOpg, FirstLayerWeightsArePreloaded)
 
 TEST(LcOpg, StatsAccountAllWindows)
 {
-    auto g = models::buildModel(models::ModelId::ViT);
-    KernelModel km(DeviceProfile::onePlus12());
-    profiler::AnalyticCapacityProvider cap(km);
-    PlanStats stats;
-    LcOpgPlanner planner(g, cap, km);
-    planner.plan(&stats);
-    EXPECT_EQ(stats.windows,
-              stats.optimalWindows + stats.feasibleWindows +
-                  stats.greedyWindows);
-    EXPECT_GT(stats.solveSeconds, 0.0);
-    EXPECT_GT(stats.processNodesSeconds, 0.0);
+    // DepthA-S has windows with no weights to place; they fall in
+    // their own bucket, so "optimal" counts only windows solved.
+    for (auto id : {models::ModelId::ViT, models::ModelId::DepthAnythingS}) {
+        SCOPED_TRACE(models::modelSpec(id).abbr);
+        auto g = models::buildModel(id);
+        KernelModel km(DeviceProfile::onePlus12());
+        profiler::AnalyticCapacityProvider cap(km);
+        PlanStats stats;
+        LcOpgPlanner planner(g, cap, km);
+        planner.plan(&stats);
+        EXPECT_EQ(stats.windows,
+                  stats.optimalWindows + stats.feasibleWindows +
+                      stats.greedyWindows + stats.emptyWindows);
+        int empty = 0;
+        for (const auto &w : stats.windowSummaries)
+            empty += w.empty;
+        EXPECT_EQ(stats.emptyWindows, empty);
+        if (id == models::ModelId::DepthAnythingS) {
+            EXPECT_GT(stats.emptyWindows, 0);
+        }
+        EXPECT_GT(stats.solveSeconds, 0.0);
+        EXPECT_GT(stats.processNodesSeconds, 0.0);
+    }
 }
 
 // --------------------------------------------------------------- PlanMemo
@@ -327,6 +341,7 @@ expectSameCounters(const PlanStats &want, const PlanStats &got)
     EXPECT_EQ(want.windows, got.windows);
     EXPECT_EQ(want.optimalWindows, got.optimalWindows);
     EXPECT_EQ(want.feasibleWindows, got.feasibleWindows);
+    EXPECT_EQ(want.emptyWindows, got.emptyWindows);
     EXPECT_EQ(want.softRelaxations, got.softRelaxations);
     EXPECT_EQ(want.forcedPreloads, got.forcedPreloads);
     EXPECT_EQ(want.greedyWindows, got.greedyWindows);
@@ -1201,30 +1216,232 @@ TEST(Runtime, ArrivalShiftsTimelineNotDuration)
     EXPECT_EQ(r1.integratedLatency(), r2.integratedLatency());
 }
 
-// The multi-DNN scheduler profiles each (model, budget) once on a scratch
-// simulator and replays that profile at every dispatch, so a run on a
-// long-lived simulator must report exactly what a fresh one does.
+namespace {
+
+/** Expect @p series to end with @p run's points shifted by @p at:
+ * every point from @p at on, bit for bit. */
+void
+expectShiftedTail(const TimeSeries &series, const TimeSeries &run,
+                  SimTime at)
+{
+    const auto &pts = series.points();
+    auto it = std::lower_bound(
+        pts.begin(), pts.end(), at,
+        [](const TimeSeries::Point &p, SimTime t) { return p.time < t; });
+    ASSERT_EQ(static_cast<std::size_t>(pts.end() - it),
+              run.points().size());
+    for (const auto &p : run.points()) {
+        EXPECT_EQ(it->time, p.time + at);
+        EXPECT_EQ(it->value, p.value);
+        ++it;
+    }
+}
+
+/** @p ref's activity summed @p n times, up to @p makespan. */
+gpusim::ActivitySummary
+repeatedActivity(const gpusim::ActivitySummary &ref, SimTime n,
+                 SimTime makespan)
+{
+    return {makespan, n * ref.computeBusy, n * ref.diskBusy,
+            static_cast<Bytes>(n) * ref.bytesMoved};
+}
+
+/** Every RunResult field equal. */
+void
+expectSameRun(const RunResult &want, const RunResult &got)
+{
+    EXPECT_EQ(want.model, got.model);
+    EXPECT_EQ(want.arrival, got.arrival);
+    EXPECT_EQ(want.start, got.start);
+    EXPECT_EQ(want.initDone, got.initDone);
+    EXPECT_EQ(want.end, got.end);
+    EXPECT_EQ(want.latencyBound, got.latencyBound);
+    EXPECT_EQ(want.device, got.device);
+    EXPECT_EQ(want.degraded, got.degraded);
+    EXPECT_EQ(want.stallTime, got.stallTime);
+    EXPECT_EQ(want.peakMemory, got.peakMemory);
+    EXPECT_EQ(want.avgMemoryBytes, got.avgMemoryBytes);
+    EXPECT_EQ(want.oom, got.oom);
+    EXPECT_EQ(want.kernels, got.kernels);
+}
+
+/** A solo run (started at 0) as the same run started at @p at. */
+RunResult
+shiftedRun(RunResult r, SimTime at)
+{
+    r.arrival += at;
+    r.start += at;
+    r.initDone += at;
+    r.end += at;
+    return r;
+}
+
+constexpr gpusim::MemKind kAllKinds[] = {
+    gpusim::MemKind::UnifiedWeights, gpusim::MemKind::TextureWeights,
+    gpusim::MemKind::Activations, gpusim::MemKind::Scratch};
+
+} // namespace
+
+// The multi-DNN scheduler profiles each (model, budget) once on a
+// scratch simulator and replays that profile onto idle devices at
+// every dispatch (GpuSimulator::replay), so a run on a long-lived
+// simulator must leave exactly the footprint a fresh one does, shifted
+// to its start: result, trace points, peaks, activity, energy, horizon.
 TEST(Runtime, BackToBackRunsOnOneSimulatorAreStartTimeInvariant)
 {
-    core::FlashMem fm(DeviceProfile::onePlus12());
-    auto compiled = fm.compile(models::buildModel(models::ModelId::ResNet50));
+    const auto dev = DeviceProfile::onePlus12();
+    core::FlashMem fm(dev);
+    const gpusim::PowerModel power(dev);
+    for (const auto &spec : models::modelZoo()) {
+        auto full = fm.compile(models::buildModel(spec.id));
+        auto quarter = fm.replan(full, full.planBudget / 4);
+        for (const auto *compiled : {&full, &quarter}) {
+            SCOPED_TRACE(testing::Message()
+                         << spec.abbr << " at " << compiled->planBudget
+                         << " bytes");
+            GpuSimulator fresh(dev);
+            auto ref = fm.execute(fresh, *compiled);
+            ASSERT_GT(ref.peakMemory, 0u);
+            const auto ref_activity = fresh.activity(ref.end);
 
-    GpuSimulator fresh(DeviceProfile::onePlus12());
-    auto ref = fm.execute(fresh, compiled);
-    ASSERT_GT(ref.peakMemory, 0u);
-
-    GpuSimulator sim(DeviceProfile::onePlus12());
-    SimTime at = 0;
-    for (int i = 0; i < 64; ++i) {
-        auto r = fm.execute(sim, compiled, at);
-        SCOPED_TRACE(testing::Message() << "run " << i);
-        EXPECT_EQ(r.start, at);
-        EXPECT_EQ(r.peakMemory, ref.peakMemory);
-        EXPECT_EQ(r.avgMemoryBytes, ref.avgMemoryBytes);
-        EXPECT_EQ(r.initLatency(), ref.initLatency());
-        EXPECT_EQ(r.execLatency(), ref.execLatency());
-        at = r.end;
+            GpuSimulator sim(dev);
+            SimTime at = 0;
+            for (int i = 0; i < 64; ++i) {
+                auto r = fm.execute(sim, *compiled, at);
+                SCOPED_TRACE(testing::Message() << "run " << i);
+                expectSameRun(shiftedRun(ref, at), r);
+                EXPECT_EQ(sim.horizon(), at + fresh.horizon());
+                expectShiftedTail(sim.memory().totalTrace(),
+                                  fresh.memory().totalTrace(), at);
+                for (auto kind : kAllKinds)
+                    EXPECT_EQ(sim.memory().peak(kind),
+                              fresh.memory().peak(kind));
+                auto want =
+                    repeatedActivity(ref_activity, i + 1, r.end);
+                auto got = sim.activity(r.end);
+                EXPECT_EQ(got.computeBusy, want.computeBusy);
+                EXPECT_EQ(got.diskBusy, want.diskBusy);
+                EXPECT_EQ(got.bytesMoved, want.bytesMoved);
+                EXPECT_EQ(sim.energyJoules(r.end),
+                          power.energyJoules(want));
+                at = r.end;
+            }
+        }
     }
+}
+
+// ------------------------------------------------------------------ Replay
+
+TEST(Replay, MixedSequenceMatchesExecutionBitForBit)
+{
+    const auto dev = DeviceProfile::onePlus12();
+    core::FlashMem fm(dev);
+    std::vector<CompiledModel> compiled;
+    for (auto id : {models::ModelId::ResNet50, models::ModelId::ViT,
+                    models::ModelId::DepthAnythingS,
+                    models::ModelId::GPTNeoS}) {
+        compiled.push_back(fm.compile(models::buildModel(id)));
+        compiled.push_back(
+            fm.replan(compiled.back(), compiled.back().planBudget / 4));
+    }
+
+    // A budget between the smallest and largest solo peaks, so the
+    // sequence mixes runs that overflow it with runs that do not.
+    Bytes lo = std::numeric_limits<Bytes>::max(), hi = 0;
+    for (const auto &cm : compiled) {
+        GpuSimulator probe(dev);
+        auto r = fm.execute(probe, cm);
+        lo = std::min(lo, r.peakMemory);
+        hi = std::max(hi, r.peakMemory);
+    }
+    ASSERT_LT(lo, hi);
+    auto tight = dev;
+    tight.appMemoryBudget = lo + (hi - lo) / 2;
+
+    struct Solo
+    {
+        GpuSimulator sim;
+        RunResult run;
+    };
+    std::vector<Solo> solos;
+    for (const auto &cm : compiled) {
+        solos.push_back({GpuSimulator(tight), {}});
+        solos.back().run = fm.execute(solos.back().sim, cm, 0);
+    }
+
+    // Back to back (gap 0), one tick apart, and across idle gaps.
+    const std::size_t order[] = {0, 1, 2, 3, 4, 5, 6, 7, 3, 3, 0, 6, 5,
+                                 1, 7, 2, 4, 0};
+    const SimTime gaps[] = {0, 1, milliseconds(3), 0, microseconds(7)};
+    GpuSimulator executed(tight), replayed(tight);
+    SimTime at = 0;
+    int ooms = 0;
+    for (std::size_t k = 0; k < std::size(order); ++k) {
+        SCOPED_TRACE(testing::Message() << "step " << k);
+        auto want = fm.execute(executed, compiled[order[k]], at);
+        ASSERT_TRUE(replayed.idleAt(at));
+        replayed.replay(solos[order[k]].sim, at);
+        expectSameRun(want, shiftedRun(solos[order[k]].run, at));
+        ooms += want.oom;
+        at = want.end + gaps[k % std::size(gaps)];
+    }
+    EXPECT_GT(ooms, 0);
+    EXPECT_LT(ooms, static_cast<int>(std::size(order)));
+
+    const auto &want_mem = executed.memory();
+    const auto &got_mem = replayed.memory();
+    const auto &want_pts = want_mem.totalTrace().points();
+    const auto &got_pts = got_mem.totalTrace().points();
+    ASSERT_EQ(want_pts.size(), got_pts.size());
+    for (std::size_t i = 0; i < want_pts.size(); ++i) {
+        EXPECT_EQ(want_pts[i].time, got_pts[i].time) << "point " << i;
+        EXPECT_EQ(want_pts[i].value, got_pts[i].value) << "point " << i;
+    }
+    EXPECT_EQ(want_mem.used(), got_mem.used());
+    EXPECT_EQ(want_mem.peak(), got_mem.peak());
+    for (auto kind : kAllKinds)
+        EXPECT_EQ(want_mem.peak(kind), got_mem.peak(kind));
+    EXPECT_EQ(want_mem.oomOccurred(), got_mem.oomOccurred());
+    EXPECT_EQ(want_mem.lastTime(), got_mem.lastTime());
+
+    auto same_timeline = [](const auto &a, const auto &b) {
+        EXPECT_EQ(a.freeAt(), b.freeAt());
+        EXPECT_EQ(a.busyTime(), b.busyTime());
+    };
+    same_timeline(executed.computeQueue(), replayed.computeQueue());
+    same_timeline(executed.disk(), replayed.disk());
+    same_timeline(executed.transformQueue(), replayed.transformQueue());
+    EXPECT_EQ(executed.computeQueue().reservations(),
+              replayed.computeQueue().reservations());
+    EXPECT_EQ(executed.disk().bytesMoved(), replayed.disk().bytesMoved());
+    EXPECT_EQ(executed.transformQueue().bytesMoved(),
+              replayed.transformQueue().bytesMoved());
+    EXPECT_EQ(executed.horizon(), replayed.horizon());
+    auto wa = executed.activity(at), ga = replayed.activity(at);
+    EXPECT_EQ(wa.computeBusy, ga.computeBusy);
+    EXPECT_EQ(wa.diskBusy, ga.diskBusy);
+    EXPECT_EQ(wa.bytesMoved, ga.bytesMoved);
+    EXPECT_EQ(executed.energyJoules(at), replayed.energyJoules(at));
+}
+
+TEST(ReplayDeathTest, ReplayOntoABusySimulatorAborts)
+{
+    const auto dev = DeviceProfile::onePlus12();
+    core::FlashMem fm(dev);
+    auto compiled = fm.compile(toyGraph(2));
+    GpuSimulator solo(dev);
+    auto run = fm.execute(solo, compiled, 0);
+
+    GpuSimulator busy(dev);
+    fm.execute(busy, compiled, 0);
+    EXPECT_DEATH(busy.replay(solo, run.end - 1), "busy");
+
+    // A solo simulator holding two runs is not one replayable run.
+    GpuSimulator twice(dev);
+    fm.execute(twice, compiled, 0);
+    fm.execute(twice, compiled, run.end + 1);
+    GpuSimulator idle(dev);
+    EXPECT_DEATH(idle.replay(twice, 0), "more than one run");
 }
 
 TEST(Runtime, SlowDiskIncreasesStalls)

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 
 #include "core/flashmem.hh"
@@ -94,6 +95,118 @@ TEST(EventScheduler, TraceLivesInTheOutcome)
     EXPECT_EQ(static_cast<Bytes>(
                   second.trace.maxOver(0, second.makespan)),
               second.peakMemory);
+}
+
+TEST(EventScheduler, ReplayedDrainMatchesReExecutingEveryRun)
+{
+    // Idle devices replay a cached solo run instead of executing. The
+    // oracle re-executes every completed run of a memory-aware Fig-6
+    // drain with FlashMem::execute at its recorded start, on one fresh
+    // simulator, and must reproduce the outcome bit for bit.
+    FlashMem fm(DeviceProfile::onePlus12());
+    SchedulerConfig cfg;
+    cfg.capacityBudget = mib(768);
+    EventScheduler sched(fm, cfg);
+    const std::vector<ModelId> mix = {
+        ModelId::DepthAnythingS, ModelId::ViT, ModelId::SDUNet,
+        ModelId::WhisperMedium, ModelId::GPTNeo1_3B};
+    // A burst that queues runs back to back, then arrivals sparse
+    // enough that each run starts on a device that sat idle.
+    auto queue = interleavedWorkload(mix, 2, 0, 5);
+    for (auto req : interleavedWorkload(mix, 2, seconds(30), 6)) {
+        req.arrival += seconds(100);
+        queue.push_back(req);
+    }
+    auto out = sched.run(queue, MemoryAwarePolicy{});
+    ASSERT_EQ(out.runs.size(), queue.size());
+    ASSERT_GT(out.replans, 0);
+
+    // Every plan admission can hand out: each model at each share of
+    // the capacity budget, with its solo run to match runs against.
+    // Shares whose plans run identically are interchangeable here.
+    struct Candidate
+    {
+        core::CompiledModel compiled;
+        core::RunResult solo;
+    };
+    std::vector<Candidate> candidates;
+    const Bytes mPeak = fm.options().opg.mPeak;
+    for (auto id : mix) {
+        auto base = fm.compile(models::buildModel(id));
+        std::vector<Bytes> budgets;
+        for (Bytes k = 1; k <= mix.size(); ++k) {
+            Bytes b = quantizeBudgetShare(cfg.capacityBudget / k, cfg,
+                                          fm.options().opg.chunkBytes,
+                                          mPeak);
+            if (std::find(budgets.begin(), budgets.end(), b) ==
+                budgets.end())
+                budgets.push_back(b);
+        }
+        for (Bytes b : budgets) {
+            auto cm = b == mPeak ? base : fm.replan(base, b);
+            GpuSimulator scratch(fm.device());
+            auto solo = fm.execute(scratch, cm, 0);
+            candidates.push_back({std::move(cm), solo});
+        }
+    }
+
+    GpuSimulator sim(fm.device());
+    SimTime compute_busy = 0, dma_busy = 0;
+    int back_to_back = 0, after_idle = 0;
+    for (std::size_t i = 0; i < out.runs.size(); ++i) {
+        const auto &r = out.runs[i];
+        if (i > 0) {
+            back_to_back += r.start == out.runs[i - 1].end;
+            after_idle += r.start > out.runs[i - 1].end;
+        }
+        SCOPED_TRACE(testing::Message() << "run " << i << " " << r.model);
+        const Candidate *c = nullptr;
+        for (const auto &cand : candidates) {
+            if (cand.compiled.fusedGraph.name() == r.model &&
+                cand.solo.integratedLatency() == r.integratedLatency() &&
+                cand.solo.initLatency() == r.initLatency() &&
+                cand.solo.peakMemory == r.peakMemory &&
+                cand.solo.avgMemoryBytes == r.avgMemoryBytes &&
+                cand.solo.stallTime == r.stallTime) {
+                c = &cand;
+                break;
+            }
+        }
+        ASSERT_NE(c, nullptr) << "no plan admission hands out ran this";
+        auto want = fm.execute(sim, c->compiled, r.start);
+        EXPECT_EQ(want.start, r.start);
+        EXPECT_EQ(want.initDone, r.initDone);
+        EXPECT_EQ(want.end, r.end);
+        EXPECT_EQ(want.peakMemory, r.peakMemory);
+        EXPECT_EQ(want.avgMemoryBytes, r.avgMemoryBytes);
+        EXPECT_EQ(want.oom, r.oom);
+        EXPECT_EQ(want.kernels, r.kernels);
+        EXPECT_EQ(want.stallTime, r.stallTime);
+        compute_busy += r.end - r.initDone;
+        dma_busy += r.initDone - r.start;
+    }
+
+    EXPECT_GT(back_to_back, 0);
+    EXPECT_GT(after_idle, 0);
+    EXPECT_EQ(out.makespan, out.runs.back().end);
+    const auto &want_pts = sim.memory().totalTrace().points();
+    const auto &got_pts = out.trace.points();
+    ASSERT_EQ(want_pts.size(), got_pts.size());
+    for (std::size_t i = 0; i < want_pts.size(); ++i) {
+        EXPECT_EQ(want_pts[i].time, got_pts[i].time) << "point " << i;
+        EXPECT_EQ(want_pts[i].value, got_pts[i].value) << "point " << i;
+    }
+    EXPECT_EQ(out.peakMemory, sim.memory().peakOver(0, out.makespan));
+    EXPECT_EQ(out.avgMemoryBytes,
+              sim.memory().averageBytes(0, out.makespan));
+    EXPECT_EQ(out.energyJoules, sim.energyJoules(out.makespan));
+    ASSERT_EQ(out.devices.size(), 1u);
+    const auto &dev = out.devices[0];
+    EXPECT_EQ(dev.dispatched, out.runs.size());
+    EXPECT_EQ(dev.computeBusyTime, compute_busy);
+    EXPECT_EQ(dev.dmaBusyTime, dma_busy);
+    EXPECT_EQ(dev.peakMemory, out.peakMemory);
+    EXPECT_EQ(dev.energyJoules, out.energyJoules);
 }
 
 // ------------------------------------------- queueing-delay accounting

@@ -14,8 +14,10 @@
 #   lex-row leader functions multiply saturating positional weights
 #   into int64 sums, the solver's closest brush with overflow) and the
 #   solve-reuse tests (the replay certificate adds row spans to
-#   recorded sums under overflow checks), and the window-flow tests
-#   (integer costs scaled by 1000 and summed over every chunk). The
+#   recorded sums under overflow checks), the window-flow tests
+#   (integer costs scaled by 1000 and summed over every chunk), and the
+#   run-replay tests (shifted timestamps and summed busy times, bytes
+#   and trace points against the executions they replace). The
 #   address build already folds UBSan in, so 'undefined' is the
 #   standalone UBSan build for isolating alignment/overflow reports
 #   from ASan noise. Extra ctest arguments
@@ -65,9 +67,9 @@ case "$requested" in
         run_one address
         run_one thread
         # Focused UBSan arm: the symmetry lex rows, the solve-reuse
-        # certificates and the window flow, alone, under the standalone
-        # UBSan build.
-        run_one undefined -R 'Symmetry|SolveReuse|ReplanReuse|WindowFlow|FlowFirst'
+        # certificates, the window flow and the run replay, alone,
+        # under the standalone UBSan build.
+        run_one undefined -R 'Symmetry|SolveReuse|ReplanReuse|WindowFlow|FlowFirst|^Replay|ReplayedDrain|AppendShifted|StartTimeInvariant'
         ;;
     *)  echo "usage: $0 [address|thread|undefined]" >&2; exit 2 ;;
 esac
