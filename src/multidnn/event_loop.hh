@@ -23,6 +23,23 @@
  * break on the event's sequence id. The clock is integer nanoseconds,
  * so the loop is exactly deterministic.
  *
+ * Event sources: arrivals stream from a cursor over the queue in
+ * (arrival, queue index) order — the queue as given when its arrivals
+ * are already non-decreasing (every generated trace), else a stable
+ * index sort of it. Only events the loop itself creates (faults,
+ * retries, DMA-frees, completions, watchdog/recovery) live in a heap,
+ * so each event costs O(log k) in the k events in flight rather than
+ * in the trace length. Every step takes whichever of the next
+ * arrival and the heap top comes first under the order above.
+ *
+ * Admission floor: the dispatch-point admission pass
+ * (SchedulingPolicy::admit over the ready set) only runs when some
+ * ready request can fail it. The loop keeps admit_floor, a lower
+ * bound on SchedulingPolicy::admitUntil over the ready set: an entry
+ * lowers it, each pass recomputes it, and a removal leaves it stale
+ * but still a lower bound. While now <= admit_floor every verdict is
+ * Admit by the admitUntil contract, so skipping the pass is exact.
+ *
  * Fault tolerance: the loop tracks every dispatched run in flight and
  * consumes the FaultPlan as a fourth event source. A crash kills the
  * victims and re-dispatches them to surviving devices with capped
@@ -199,10 +216,31 @@ drainClusterQueue(const std::vector<ModelRequest> &queue,
         DispatchedRun run;
     };
 
+    // Arrivals stream from a cursor in (arrival, queue index) order;
+    // an unsorted queue is read through a stable index sort.
+    std::vector<std::size_t> arrival_order;
+    if (!std::is_sorted(queue.begin(), queue.end(),
+                        [](const ModelRequest &a, const ModelRequest &b) {
+                            return a.arrival < b.arrival;
+                        })) {
+        arrival_order.resize(queue.size());
+        for (std::size_t i = 0; i < queue.size(); ++i)
+            arrival_order[i] = i;
+        std::stable_sort(arrival_order.begin(), arrival_order.end(),
+                         [&](std::size_t a, std::size_t b) {
+                             return queue[a].arrival < queue[b].arrival;
+                         });
+    }
+    std::size_t next_arrival = 0;
+    auto arrivalEvent = [&]() -> Event {
+        std::size_t i = arrival_order.empty()
+                            ? next_arrival
+                            : arrival_order[next_arrival];
+        return {queue[i].arrival, Event::Arrival, i};
+    };
+
     std::priority_queue<Event, std::vector<Event>, std::greater<>>
         events;
-    for (std::size_t i = 0; i < queue.size(); ++i)
-        events.push({queue[i].arrival, Event::Arrival, i});
     if (faults) {
         for (std::size_t i = 0; i < faults->events.size(); ++i)
             events.push({faults->events[i].time, Event::Fault, i});
@@ -243,6 +281,8 @@ drainClusterQueue(const std::vector<ModelRequest> &queue,
 
     std::vector<ReadyRequest> ready;
     std::vector<ReadyRequest> retry_pool;
+    // Lower bound on policy.admitUntil over the ready set.
+    SimTime admit_floor = kTimeNever;
 
     // Every drop funnels through here so the trace never loses a
     // request: the shed event carries the reason and attempt count.
@@ -314,9 +354,16 @@ drainClusterQueue(const std::vector<ModelRequest> &queue,
 
     std::uint64_t next_run_id = 0;
     SimTime now = 0;
-    while (!events.empty()) {
-        auto ev = events.top();
-        events.pop();
+    while (next_arrival < queue.size() || !events.empty()) {
+        Event ev;
+        if (next_arrival < queue.size() &&
+            (events.empty() || events.top() > arrivalEvent())) {
+            ev = arrivalEvent();
+            ++next_arrival;
+        } else {
+            ev = events.top();
+            events.pop();
+        }
         if (ev.time > now) {
             now = ev.time;
             stuck = 0;
@@ -332,7 +379,8 @@ drainClusterQueue(const std::vector<ModelRequest> &queue,
                      " events without the clock advancing past ", now,
                      "ns (limit ", stuck_limit,
                      "); ready=", ready.size(),
-                     " pendingEvents=", events.size(),
+                     " pendingEvents=",
+                     events.size() + (queue.size() - next_arrival),
                      " inFlight=", window.size(), ";", diag.str());
         }
         now = std::max(now, ev.time);
@@ -360,6 +408,7 @@ drainClusterQueue(const std::vector<ModelRequest> &queue,
                 if (verdict == Admission::Degrade)
                     r.degraded = true;
             }
+            admit_floor = std::min(admit_floor, policy.admitUntil(r));
             ready.push_back(std::move(r));
             // Backlog diverged: unstable load, abort the drain.
             return !(ready_limit > 0 && ready.size() > ready_limit);
@@ -536,6 +585,8 @@ drainClusterQueue(const std::vector<ModelRequest> &queue,
         // Drain simultaneous fault/arrival/retry events before
         // dispatching, so the policy compares every request that is
         // ready at this instant against the settled cluster state.
+        if (next_arrival < queue.size() && arrivalEvent().time <= now)
+            continue;
         if (!events.empty() && events.top().time <= now &&
             events.top().kind <= Event::Retry)
             continue;
@@ -548,18 +599,28 @@ drainClusterQueue(const std::vector<ModelRequest> &queue,
             // so a retry that cannot meet its deadline any more is
             // shed instead of being retried forever. The ready set is
             // scanned in arrival order, so verdicts are deterministic.
-            for (std::size_t i = 0;
-                 policy.needsAdmission() && i < ready.size();) {
-                auto verdict = policy.admit(now, ready[i]);
-                if (verdict == Admission::Shed) {
-                    drop(ready[i], now, DropReason::Admission);
-                    ready.erase(ready.begin() +
-                                static_cast<std::ptrdiff_t>(i));
-                    continue;
+            // The pass is skipped while no entry can fail it
+            // (now <= admit_floor: every verdict would be Admit).
+            if (now > admit_floor) {
+                admit_floor = kTimeNever;
+                for (std::size_t i = 0; i < ready.size();) {
+                    auto verdict = policy.admit(now, ready[i]);
+                    FM_ASSERT(verdict == Admission::Admit ||
+                                  now > policy.admitUntil(ready[i]),
+                              "admit() refused a request before its "
+                              "admitUntil()");
+                    if (verdict == Admission::Shed) {
+                        drop(ready[i], now, DropReason::Admission);
+                        ready.erase(ready.begin() +
+                                    static_cast<std::ptrdiff_t>(i));
+                        continue;
+                    }
+                    if (verdict == Admission::Degrade)
+                        ready[i].degraded = true;
+                    admit_floor = std::min(admit_floor,
+                                           policy.admitUntil(ready[i]));
+                    ++i;
                 }
-                if (verdict == Admission::Degrade)
-                    ready[i].degraded = true;
-                ++i;
             }
             if (ready.empty())
                 break;

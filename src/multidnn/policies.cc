@@ -87,14 +87,22 @@ DeadlinePolicy::select(SimTime,
     return best;
 }
 
+SimTime
+DeadlinePolicy::admitUntil(const ReadyRequest &r) const
+{
+    if (r.latencyBound <= 0 || (mode_ == Overload::Degrade && r.degraded))
+        return kTimeNever;
+    // Feasible iff the request could still meet its deadline were it
+    // dispatched right now at its full-budget estimate.
+    return r.deadline() - r.estimatedLatency;
+}
+
 Admission
 DeadlinePolicy::admit(SimTime now, const ReadyRequest &r) const
 {
-    if (r.latencyBound <= 0)
-        return Admission::Admit;
-    // Feasible iff the request could still meet its deadline were it
-    // dispatched right now at its full-budget estimate.
-    if (now + r.estimatedLatency <= r.deadline())
+    // Qualified: a subclass may lower admitUntil() without changing
+    // the verdicts.
+    if (now <= DeadlinePolicy::admitUntil(r))
         return Admission::Admit;
     return mode_ == Overload::Shed ? Admission::Shed
                                    : Admission::Degrade;

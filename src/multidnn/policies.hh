@@ -89,18 +89,25 @@ class SchedulingPolicy
     virtual bool needsEstimates() const { return false; }
 
     /**
-     * True when admit() can return anything but Admit; only then do
-     * schedulers pay the per-dispatch admission pass over the ready
-     * set (mirrors needsEstimates()).
+     * Last instant at which @p r is certainly admitted. Contract:
+     * admit(now, r) returns Admit for every now <= admitUntil(r). The
+     * event loop runs its per-dispatch admission pass only once the
+     * clock passes the minimum of this over the ready set, so a policy
+     * that can refuse a request must return a bound no later than the
+     * first refusing instant (an earlier bound only costs passes). The
+     * default, kTimeNever, suits policies that admit everything.
      */
-    virtual bool needsAdmission() const { return false; }
+    virtual SimTime admitUntil(const ReadyRequest & /*r*/) const
+    {
+        return kTimeNever;
+    }
 
     /**
-     * SLO admission, re-evaluated on every ready request at each
-     * dispatch point (device just freed). Shed requests are removed
-     * from the ready set and recorded in ScheduleOutcome::shed;
-     * degraded requests stay ready but dispatch at degradedBudget().
-     * The default admits everything.
+     * SLO admission, re-evaluated on the ready set at each dispatch
+     * point (device just freed) once some entry may fail it (see
+     * admitUntil()). Shed requests are removed from the ready set and
+     * recorded in ScheduleOutcome::shed; degraded requests stay ready
+     * but dispatch at degradedBudget(). The default admits everything.
      */
     virtual Admission admit(SimTime /*now*/,
                             const ReadyRequest & /*r*/) const
@@ -185,9 +192,10 @@ class MemoryAwarePolicy : public FifoPolicy
  * even if started immediately (now + estimate > deadline) — is shed
  * (Overload::Shed, the default) or degraded (Overload::Degrade): kept
  * alive but dispatched at a reduced capacity budget, freeing shared
- * memory for co-resident models at the cost of a late completion.
- * Unbounded requests are always admitted and order behind bounded
- * ones (deadline = never).
+ * memory for co-resident models at the cost of a late completion; an
+ * already-degraded request is admitted as it is. Unbounded requests
+ * are always admitted and order behind bounded ones (deadline =
+ * never).
  */
 class DeadlinePolicy : public SchedulingPolicy
 {
@@ -209,7 +217,9 @@ class DeadlinePolicy : public SchedulingPolicy
                        const std::vector<ReadyRequest> &ready)
         const override;
     bool needsEstimates() const override { return true; }
-    bool needsAdmission() const override { return true; }
+    /** deadline() - estimatedLatency for a bounded request; kTimeNever
+     * when unbounded or, in Degrade mode, already degraded. */
+    SimTime admitUntil(const ReadyRequest &r) const override;
     Admission admit(SimTime now, const ReadyRequest &r) const override;
     Bytes degradedBudget(Bytes base_budget) const override;
 

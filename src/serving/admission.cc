@@ -44,16 +44,18 @@ ServiceEstimator::ServiceEstimator(const ServiceTable &calibrated,
                                    EstimatorParams params)
 {
     calibrated_count_ = calibrated.size();
+    estimates_.resize(models::modelZoo().size());
 
     // Tier 1: calibrated entries pass through verbatim.
     SimTime slowest = 0, slowest_degraded = 0;
     for (const auto &[model, profile] : calibrated) {
         FM_ASSERT(profile.service > 0,
                   "ServiceEstimator: non-positive calibrated service");
-        estimates_.emplace(model,
-                           ServiceEstimate{profile.service,
-                                           profile.degradedService,
-                                           EstimateTier::Calibrated});
+        auto i = static_cast<std::size_t>(model);
+        FM_ASSERT(i < estimates_.size(),
+                  "ServiceEstimator: model outside the zoo");
+        estimates_[i] = {profile.service, profile.degradedService,
+                         EstimateTier::Calibrated};
         slowest = std::max(slowest, profile.service);
         slowest_degraded =
             std::max(slowest_degraded, profile.degradedService);
@@ -132,8 +134,9 @@ ServiceEstimator::ServiceEstimator(const ServiceTable &calibrated,
     // Precompute the ladder estimate for every zoo model so estimate()
     // is a const lookup (shareable across concurrent runs).
     for (const auto &spec : models::modelZoo()) {
-        if (estimates_.count(spec.id))
+        if (calibrated.count(spec.id))
             continue;
+        auto &slot = estimates_[static_cast<std::size_t>(spec.id)];
         if (trained_) {
             auto features = profiler::graphFeatures(
                 models::buildModel(spec.id, params.precision));
@@ -147,14 +150,10 @@ ServiceEstimator::ServiceEstimator(const ServiceTable &calibrated,
             SimTime degraded = std::max<SimTime>(
                 1, static_cast<SimTime>(std::llround(
                        pred * inflation_ * degraded_ratio)));
-            estimates_.emplace(spec.id,
-                               ServiceEstimate{service, degraded,
-                                               EstimateTier::Predicted});
+            slot = {service, degraded, EstimateTier::Predicted};
         } else {
-            estimates_.emplace(
-                spec.id,
-                ServiceEstimate{pessimistic, pessimistic_degraded,
-                                EstimateTier::Pessimistic});
+            slot = {pessimistic, pessimistic_degraded,
+                    EstimateTier::Pessimistic};
         }
     }
 }
@@ -162,10 +161,10 @@ ServiceEstimator::ServiceEstimator(const ServiceTable &calibrated,
 const ServiceEstimate &
 ServiceEstimator::estimate(models::ModelId model) const
 {
-    auto it = estimates_.find(model);
-    FM_ASSERT(it != estimates_.end(),
+    auto i = static_cast<std::size_t>(model);
+    FM_ASSERT(i < estimates_.size(),
               "ServiceEstimator: model outside the zoo");
-    return it->second;
+    return estimates_[i];
 }
 
 AdmissionController::AdmissionController(

@@ -50,7 +50,7 @@
 #define FLASHMEM_SERVING_ADMISSION_HH
 
 #include <cstddef>
-#include <map>
+#include <vector>
 
 #include "multidnn/device.hh"
 #include "multidnn/policies.hh"
@@ -115,8 +115,8 @@ struct EstimatorParams
  * The three-tier service-time estimator. Construction trains the
  * predictor on the calibrated table (when >= 2 entries and
  * usePredictor) and precomputes an estimate for every zoo model, so
- * estimate() afterwards is a const map lookup — cheap, deterministic,
- * and safe to share across concurrent simulator runs.
+ * estimate() afterwards is a const array index by ModelId — cheap,
+ * deterministic, and safe to share across concurrent simulator runs.
  */
 class ServiceEstimator
 {
@@ -134,7 +134,8 @@ class ServiceEstimator
     double inflation() const { return inflation_; }
 
   private:
-    std::map<models::ModelId, ServiceEstimate> estimates_;
+    /** Indexed by ModelId (the zoo's ids run densely from 0). */
+    std::vector<ServiceEstimate> estimates_;
     std::size_t calibrated_count_ = 0;
     bool trained_ = false;
     double inflation_ = 1.0;

@@ -5,13 +5,18 @@
  * pessimistic), the backlog gate's verdicts on hand-built cluster
  * states, drop accounting through the fast simulator, and the
  * fast-sim-vs-EventScheduler bit-exact cross-validation with the gate
- * enabled and a cold model in the mix.
+ * enabled and a cold model in the mix, and the event loop's skipped
+ * dispatch-point admission passes against a pass at every dispatch.
  */
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "core/flashmem.hh"
+#include "multidnn/faults.hh"
 #include "multidnn/scheduler.hh"
+#include "obs/trace.hh"
 #include "serving/admission.hh"
 #include "serving/sweep.hh"
 
@@ -451,6 +456,194 @@ TEST(ArrivalGate, CrossValidatesBitExactWithColdModelAtScale)
     EXPECT_EQ(ctrl.decisions().tierPredicted,
               fast_decisions.tierPredicted);
     ASSERT_GT(fast_decisions.tierPredicted, 0u); // cold tier exercised
+}
+
+// ------------------------------------ skipping the admission pass
+
+/** DeadlinePolicy whose admitUntil() never vouches for a request, so
+ * the event loop runs the admission pass at every dispatch. */
+class EveryDispatchDeadlinePolicy : public DeadlinePolicy
+{
+  public:
+    using DeadlinePolicy::DeadlinePolicy;
+    SimTime
+    admitUntil(const ReadyRequest &) const override
+    {
+        return std::numeric_limits<SimTime>::min();
+    }
+};
+
+void
+expectSameEvents(const obs::TraceRecorder &a, const obs::TraceRecorder &b)
+{
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        const auto &x = a.events()[i];
+        const auto &y = b.events()[i];
+        ASSERT_TRUE(x.time == y.time && x.a == y.a && x.b == y.b &&
+                    x.c == y.c && x.id == y.id && x.runId == y.runId &&
+                    x.device == y.device && x.model == y.model &&
+                    x.kind == y.kind && x.flag == y.flag)
+            << "event " << i;
+    }
+}
+
+void
+expectSameOutcome(const ServingOutcome &a, const ServingOutcome &b)
+{
+    EXPECT_EQ(a.policy, b.policy);
+    EXPECT_EQ(a.stats.completed(), b.stats.completed());
+    EXPECT_EQ(a.stats.shedCount(), b.stats.shedCount());
+    EXPECT_EQ(a.stats.degradedCount(), b.stats.degradedCount());
+    EXPECT_EQ(a.stats.goodput(), b.stats.goodput());
+    EXPECT_EQ(a.stats.p50(), b.stats.p50());
+    EXPECT_EQ(a.stats.p95(), b.stats.p95());
+    EXPECT_EQ(a.stats.p99(), b.stats.p99());
+    EXPECT_EQ(a.stats.meanLatencyMs(), b.stats.meanLatencyMs());
+    EXPECT_EQ(a.stats.maxLatencyMs(), b.stats.maxLatencyMs());
+    EXPECT_EQ(a.stats.meanQueueDelayMs(), b.stats.meanQueueDelayMs());
+    EXPECT_EQ(a.makespan, b.makespan);
+    EXPECT_EQ(a.peakMemory, b.peakMemory);
+    EXPECT_EQ(a.unstable, b.unstable);
+    EXPECT_EQ(a.submitted, b.submitted);
+    EXPECT_EQ(a.arrivalSheds, b.arrivalSheds);
+    ASSERT_EQ(a.devices.size(), b.devices.size());
+    for (std::size_t d = 0; d < a.devices.size(); ++d) {
+        const auto &x = a.devices[d];
+        const auto &y = b.devices[d];
+        EXPECT_EQ(x.dispatched, y.dispatched) << "device " << d;
+        EXPECT_EQ(x.planSwitches, y.planSwitches) << "device " << d;
+        EXPECT_EQ(x.computeBusyTime, y.computeBusyTime) << "device " << d;
+        EXPECT_EQ(x.dmaBusyTime, y.dmaBusyTime) << "device " << d;
+        EXPECT_EQ(x.peakMemory, y.peakMemory) << "device " << d;
+        EXPECT_EQ(x.downTime, y.downTime) << "device " << d;
+    }
+    EXPECT_EQ(a.faults.crashes, b.faults.crashes);
+    EXPECT_EQ(a.faults.timeouts, b.faults.timeouts);
+    EXPECT_EQ(a.faults.dmaAborts, b.faults.dmaAborts);
+    EXPECT_EQ(a.faults.retries, b.faults.retries);
+    EXPECT_EQ(a.faults.failovers, b.faults.failovers);
+    EXPECT_EQ(a.faults.faultSheds, b.faults.faultSheds);
+    EXPECT_EQ(a.faults.starved, b.faults.starved);
+}
+
+/** Requests the dispatch-point pass dropped (DropReason::Admission). */
+std::size_t
+dispatchSheds(const obs::TraceRecorder &rec)
+{
+    std::size_t n = 0;
+    for (const auto &e : rec.events())
+        n += e.kind == obs::EventKind::RequestShed &&
+             e.a == static_cast<std::int64_t>(DropReason::Admission);
+    return n;
+}
+
+TEST(AdmissionFloor, SkippedPassesMatchAPassAtEveryDispatch)
+{
+    // 2x overload on two pipelined devices, bounds tight enough that
+    // the dispatch-point pass sheds or degrades, over every mix of
+    // overload mode, arrival gate and fault plan.
+    auto table = handTable();
+    ServiceEstimator est(table);
+    ModelMix mix;
+    mix.entries = {{ModelId::ResNet50, 2.0, milliseconds(30), 0},
+                   {ModelId::ViT, 1.0, milliseconds(90), 0},
+                   {ModelId::ResNet50, 0.5, 0, 0}};
+    auto trace = poissonTrace(mix, 110.0, 3000, /*seed=*/29);
+
+    multidnn::FaultPlanParams fp;
+    fp.stallsPerSecond = 0.5;
+    fp.meanStall = milliseconds(40);
+    fp.dmaErrorsPerSecond = 1.0;
+    auto plan = multidnn::mergeFaultPlans(
+        multidnn::crashAndRejoin(0, milliseconds(800),
+                                 milliseconds(300)),
+        multidnn::generateFaultPlan(fp, 2, seconds(30), 5));
+
+    for (auto mode : {DeadlinePolicy::Overload::Shed,
+                      DeadlinePolicy::Overload::Degrade}) {
+        for (bool gated : {false, true}) {
+            for (bool faulty : {false, true}) {
+                SCOPED_TRACE(::testing::Message()
+                             << "degrade=" << (mode ==
+                                               DeadlinePolicy::Overload::
+                                                   Degrade)
+                             << " gated=" << gated
+                             << " faults=" << faulty);
+                AdmissionControllerParams cp;
+                cp.mode = mode;
+                AdmissionController ctrl(est, cp);
+                ServingSimParams params;
+                params.readyLimit = 0;
+                params.cluster.deviceCount = 2;
+                params.cluster.overlapInitWithExec = true;
+                if (gated)
+                    params.arrival = &ctrl;
+                if (faulty)
+                    params.faults = plan;
+
+                DeadlinePolicy policy(mode);
+                obs::TraceRecorder rec;
+                params.trace = &rec;
+                auto out = simulateServing(trace, policy, table, params);
+                auto decisions = ctrl.decisions();
+
+                ctrl.resetDecisions();
+                EveryDispatchDeadlinePolicy every(mode);
+                obs::TraceRecorder every_rec;
+                params.trace = &every_rec;
+                auto want =
+                    simulateServing(trace, every, table, params);
+
+                expectSameOutcome(out, want);
+                expectSameEvents(rec, every_rec);
+                EXPECT_EQ(decisions.admitted, ctrl.decisions().admitted);
+                EXPECT_EQ(decisions.degraded, ctrl.decisions().degraded);
+                EXPECT_EQ(decisions.shed, ctrl.decisions().shed);
+
+                // Each arm exercises the path it is named after.
+                if (mode == DeadlinePolicy::Overload::Shed && !gated) {
+                    EXPECT_GT(dispatchSheds(rec), 0u);
+                }
+                if (mode == DeadlinePolicy::Overload::Degrade) {
+                    EXPECT_GT(out.stats.degradedCount(), 0u);
+                }
+                if (gated) {
+                    EXPECT_GT(decisions.total(), 0u);
+                }
+                if (faulty) {
+                    EXPECT_GT(out.faults.retries, 0);
+                }
+            }
+        }
+    }
+}
+
+TEST(AdmissionFloor, DeadlineAdmitUntilIsTheLastAdmittingInstant)
+{
+    for (auto mode : {DeadlinePolicy::Overload::Shed,
+                      DeadlinePolicy::Overload::Degrade}) {
+        DeadlinePolicy policy(mode);
+        auto r = request(ModelId::ViT, milliseconds(5), milliseconds(50));
+        r.estimatedLatency = milliseconds(20);
+        SimTime until = policy.admitUntil(r);
+        EXPECT_EQ(until, milliseconds(35));
+        EXPECT_EQ(policy.admit(until, r), Admission::Admit);
+        EXPECT_NE(policy.admit(until + 1, r), Admission::Admit);
+
+        // Unbounded requests are admitted forever.
+        auto unbounded = request(ModelId::ViT, 0, 0);
+        EXPECT_EQ(policy.admitUntil(unbounded), kTimeNever);
+
+        // A degraded request stays as it is in Degrade mode.
+        r.degraded = true;
+        if (mode == DeadlinePolicy::Overload::Degrade) {
+            EXPECT_EQ(policy.admitUntil(r), kTimeNever);
+            EXPECT_EQ(policy.admit(until + 1, r), Admission::Admit);
+        } else {
+            EXPECT_EQ(policy.admitUntil(r), until);
+        }
+    }
 }
 
 } // namespace

@@ -42,35 +42,6 @@ abbrTestName(ModelId id)
     return name;
 }
 
-/** Table-6 layer-count check, parameterized on the published spec.
- * The ModelSpec parameter prints as raw bytes in test names; this last
- * check is still to move into ZooGraph (ModelId parameter). */
-class ZooModel : public ::testing::TestWithParam<ModelSpec>
-{
-  protected:
-    Graph
-    build() const
-    {
-        return buildModel(GetParam().id);
-    }
-};
-
-TEST_P(ZooModel, LayerCountMatchesPaperTable6)
-{
-    auto g = build();
-    double rel = static_cast<double>(g.layerCount()) /
-                 GetParam().paperLayers;
-    EXPECT_GT(rel, 0.93) << "layers " << g.layerCount() << " vs paper "
-                         << GetParam().paperLayers;
-    EXPECT_LT(rel, 1.07);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Table6, ZooModel, ::testing::ValuesIn(modelZoo()),
-    [](const ::testing::TestParamInfo<ModelSpec> &info) {
-        return abbrTestName(info.param.id);
-    });
-
 /** Zoo checks, parameterized on the model id. */
 class ZooGraph : public ::testing::TestWithParam<ModelId>
 {
@@ -83,6 +54,16 @@ class ZooGraph : public ::testing::TestWithParam<ModelId>
 
     const ModelSpec &spec() const { return modelSpec(GetParam()); }
 };
+
+TEST_P(ZooGraph, LayerCountMatchesPaperTable6)
+{
+    auto g = build();
+    double rel = static_cast<double>(g.layerCount()) /
+                 spec().paperLayers;
+    EXPECT_GT(rel, 0.93) << "layers " << g.layerCount() << " vs paper "
+                         << spec().paperLayers;
+    EXPECT_LT(rel, 1.07);
+}
 
 TEST_P(ZooGraph, ParamsMatchPaperTable6)
 {

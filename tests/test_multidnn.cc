@@ -1,10 +1,11 @@
 /**
  * @file
- * Tests for the event-driven multi-DNN scheduler: the event loop,
- * queueing-delay latency accounting, policy ordering (FIFO / SJF /
- * priority-with-aging / memory-aware admission), and on-device
- * re-planning — including its bit-determinism across planner thread
- * counts and across a warm PlanMemo.
+ * Tests for the event-driven multi-DNN scheduler: the event loop and
+ * its arrival cursor, queueing-delay latency accounting, policy
+ * ordering (FIFO / SJF / priority-with-aging / memory-aware
+ * admission), and on-device re-planning — including its
+ * bit-determinism across planner thread counts and across a warm
+ * PlanMemo.
  */
 
 #include <gtest/gtest.h>
@@ -14,8 +15,10 @@
 
 #include "core/flashmem.hh"
 #include "graph/builder.hh"
+#include "multidnn/event_loop.hh"
 #include "multidnn/fifo_scheduler.hh"
 #include "multidnn/scheduler.hh"
+#include "obs/trace.hh"
 
 namespace flashmem::multidnn {
 namespace {
@@ -207,6 +210,160 @@ TEST(EventScheduler, ReplayedDrainMatchesReExecutingEveryRun)
     EXPECT_EQ(dev.dmaBusyTime, dma_busy);
     EXPECT_EQ(dev.peakMemory, out.peakMemory);
     EXPECT_EQ(dev.energyJoules, out.energyJoules);
+}
+
+// ------------------------------------------------- arrival cursor
+
+/** One request's fate in a drainClusterQueue run. */
+struct DrainRecord
+{
+    bool completed = false;
+    int device = -1;
+    SimTime start = 0, initDone = 0, end = 0;
+    DropReason reason = DropReason::Admission;
+    SimTime dropAt = 0;
+
+    bool
+    operator==(const DrainRecord &o) const
+    {
+        return completed == o.completed && device == o.device &&
+               start == o.start && initDone == o.initDone &&
+               end == o.end && reason == o.reason && dropAt == o.dropAt;
+    }
+};
+
+/** Drain @p queue through the shared loop with fixed per-model
+ * service times; the result is indexed by queue position. */
+std::vector<DrainRecord>
+drainWithFixedServices(const std::vector<ModelRequest> &queue,
+                       const SchedulingPolicy &policy, int devices,
+                       obs::TraceRecorder *trace = nullptr)
+{
+    auto init = [](ModelId m) {
+        return m == ModelId::ViT ? milliseconds(6) : milliseconds(2);
+    };
+    auto exec = [](ModelId m) {
+        return m == ModelId::ViT ? milliseconds(24) : milliseconds(7);
+    };
+    ClusterConfig cc;
+    cc.deviceCount = devices;
+    cc.overlapInitWithExec = true;
+    DeviceCluster cluster(cc);
+    std::vector<DrainRecord> out(queue.size());
+    bool stable = drainClusterQueue(
+        queue, policy, cluster,
+        [&](std::size_t seq) {
+            const auto &q = queue[seq];
+            ReadyRequest r;
+            r.queueIndex = seq;
+            r.model = q.model;
+            r.arrival = q.arrival;
+            r.priority = q.priority;
+            r.estimatedLatency = init(q.model) + exec(q.model);
+            r.latencyBound = q.latencyBound;
+            return r;
+        },
+        [&](const ReadyRequest &picked, const std::vector<ReadyRequest> &,
+            SimTime now, std::uint64_t) {
+            int dev = cluster.pickDevice(now, picked.model, mib(100));
+            auto t = cluster.planTimes(dev, now, init(picked.model),
+                                       exec(picked.model));
+            cluster.commit(dev, picked.model, mib(100), t);
+            return DispatchedRun{dev, t};
+        },
+        [&](const ReadyRequest &r, const DispatchedRun &run,
+            std::uint64_t) {
+            auto &rec = out[r.queueIndex];
+            rec.completed = true;
+            rec.device = run.device;
+            rec.start = run.times.start;
+            rec.initDone = run.times.initDone;
+            rec.end = run.times.end;
+        },
+        [&](const ReadyRequest &r, SimTime now, DropReason reason) {
+            out[r.queueIndex].reason = reason;
+            out[r.queueIndex].dropAt = now;
+        },
+        0, nullptr, {}, nullptr, nullptr, trace);
+    EXPECT_TRUE(stable);
+    return out;
+}
+
+TEST(ArrivalCursor, UnsortedQueueRunsLikeThePresortedQueue)
+{
+    // Distinct, strictly increasing arrivals at about 1.4x the two
+    // devices' capacity, with deadlines tight enough to shed some.
+    constexpr std::size_t kRequests = 301;
+    std::vector<ModelRequest> sorted;
+    std::uint64_t x = 88172645463325252ull; // xorshift64 state
+    SimTime t = 0;
+    for (std::size_t i = 0; i < kRequests; ++i) {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        t += 1 + static_cast<SimTime>(x % milliseconds(8));
+        ModelId m = x % 4 == 0 ? ModelId::ViT : ModelId::ResNet50;
+        sorted.push_back({m, t, 0, milliseconds(x % 3 == 0 ? 40 : 120)});
+    }
+    // A fixed permutation (10 is coprime to 301): position j holds
+    // sorted request perm(j).
+    auto perm = [](std::size_t j) { return j * 10 % kRequests; };
+    std::vector<ModelRequest> shuffled(kRequests);
+    for (std::size_t j = 0; j < kRequests; ++j)
+        shuffled[j] = sorted[perm(j)];
+    ASSERT_FALSE(std::is_sorted(
+        shuffled.begin(), shuffled.end(),
+        [](const ModelRequest &a, const ModelRequest &b) {
+            return a.arrival < b.arrival;
+        }));
+
+    DeadlinePolicy policy;
+    auto want = drainWithFixedServices(sorted, policy, 2);
+    auto got = drainWithFixedServices(shuffled, policy, 2);
+    std::size_t completed = 0;
+    for (std::size_t j = 0; j < kRequests; ++j) {
+        EXPECT_TRUE(got[j] == want[perm(j)]) << "request " << perm(j);
+        completed += want[perm(j)].completed;
+    }
+    // Both fates are exercised.
+    EXPECT_GT(completed, kRequests / 2);
+    EXPECT_LT(completed, kRequests);
+}
+
+TEST(ArrivalCursor, EqualArrivalsEnterAndDispatchInQueueOrder)
+{
+    // The queue is out of order, so arrivals stream through the stable
+    // index sort; requests sharing an arrival keep their queue order.
+    // The policy takes the oldest ready entry, so dispatch order is
+    // ready-set entry order.
+    struct FirstReady : FifoPolicy
+    {
+        std::size_t
+        select(SimTime, const std::vector<ReadyRequest> &) const override
+        {
+            return 0;
+        }
+    } policy;
+    std::vector<ModelRequest> queue{
+        {ModelId::ResNet50, milliseconds(4), 0, 0}, // 0
+        {ModelId::ResNet50, 0, 0, 0},               // 1
+        {ModelId::ViT, 0, 0, 0},                    // 2
+        {ModelId::ResNet50, milliseconds(4), 0, 0}, // 3
+        {ModelId::ResNet50, 0, 0, 0},               // 4
+        {ModelId::ViT, milliseconds(2), 0, 0},      // 5
+    };
+    obs::TraceRecorder rec;
+    drainWithFixedServices(queue, policy, 1, &rec);
+    std::vector<std::uint32_t> arrivals, dispatches;
+    for (const auto &e : rec.events()) {
+        if (e.kind == obs::EventKind::RequestArrival)
+            arrivals.push_back(e.id);
+        if (e.kind == obs::EventKind::RequestDispatch)
+            dispatches.push_back(e.id);
+    }
+    std::vector<std::uint32_t> want{1, 2, 4, 5, 0, 3};
+    EXPECT_EQ(arrivals, want);
+    EXPECT_EQ(dispatches, want);
 }
 
 // ------------------------------------------- queueing-delay accounting
@@ -1099,7 +1256,10 @@ TEST(Faults, StuckClockGuardPanicsLoudly)
     SchedulerConfig cfg;
     cfg.recovery.stuckEventLimit = 1;
     EventScheduler sched(fm, cfg);
-    EXPECT_DEATH(sched.run(queue, FifoPolicy{}), "event loop stuck");
+    // The third arrival has not streamed yet; it still counts as a
+    // pending event.
+    EXPECT_DEATH(sched.run(queue, FifoPolicy{}),
+                 "event loop stuck.*pendingEvents=1 ");
 }
 
 } // namespace

@@ -15,9 +15,12 @@
 #   into int64 sums, the solver's closest brush with overflow) and the
 #   solve-reuse tests (the replay certificate adds row spans to
 #   recorded sums under overflow checks), the window-flow tests
-#   (integer costs scaled by 1000 and summed over every chunk), and the
+#   (integer costs scaled by 1000 and summed over every chunk), the
 #   run-replay tests (shifted timestamps and summed busy times, bytes
-#   and trace points against the executions they replace). The
+#   and trace points against the executions they replace), and the
+#   event-loop arrival-cursor and admission-floor tests (index sorts
+#   over the queue; deadline-minus-estimate bounds compared against
+#   the extreme SimTime values). The
 #   address build already folds UBSan in, so 'undefined' is the
 #   standalone UBSan build for isolating alignment/overflow reports
 #   from ASan noise. Extra ctest arguments
@@ -67,9 +70,10 @@ case "$requested" in
         run_one address
         run_one thread
         # Focused UBSan arm: the symmetry lex rows, the solve-reuse
-        # certificates, the window flow and the run replay, alone,
-        # under the standalone UBSan build.
-        run_one undefined -R 'Symmetry|SolveReuse|ReplanReuse|WindowFlow|FlowFirst|^Replay|ReplayedDrain|AppendShifted|StartTimeInvariant'
+        # certificates, the window flow, the run replay, the arrival
+        # cursor and the admission floor, alone, under the standalone
+        # UBSan build.
+        run_one undefined -R 'Symmetry|SolveReuse|ReplanReuse|WindowFlow|FlowFirst|^Replay|ReplayedDrain|AppendShifted|StartTimeInvariant|ArrivalCursor|AdmissionFloor'
         ;;
     *)  echo "usage: $0 [address|thread|undefined]" >&2; exit 2 ;;
 esac
