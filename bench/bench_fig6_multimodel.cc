@@ -14,8 +14,8 @@
  * and re-plan count are asserted exactly (bench/ledger.hh).
  *
  * `--determinism`: instead of the figure, run the memory-aware
- * re-planning scheduler with planner thread counts 1 and 4 on isolated
- * PlanMemos and fail unless the outcomes (timelines, re-plan counts,
+ * re-planning scheduler with planner thread counts 1 and 4 and fail
+ * unless the outcomes (timelines, re-plan counts,
  * memory) are identical — the ctest-registered scheduler determinism
  * check.
  *
@@ -64,7 +64,7 @@ outcomesIdentical(const multidnn::ScheduleOutcome &a,
 /**
  * Scheduler determinism: the same queue under the memory-aware
  * re-planning policy must produce bit-identical outcomes for any
- * planner thread count (isolated memos keep the arms independent).
+ * planner thread count.
  */
 int
 runDeterminismCheck()
@@ -75,10 +75,8 @@ runDeterminismCheck()
         /*iterations=*/2, /*gap=*/milliseconds(10), /*seed=*/17);
 
     auto run_arm = [&](int threads) {
-        core::PlanMemo memo;
         core::FlashMemOptions opt;
         opt.opg.parallel.threads = threads;
-        opt.opg.memo = &memo;
         core::FlashMem fm(dev, opt);
         multidnn::SchedulerConfig cfg;
         // Tight shared budget: admission shrinks per-model shares, so
@@ -95,7 +93,6 @@ runDeterminismCheck()
     std::cout << "scheduler determinism (threads 1 vs 4): "
               << (identical ? "identical" : "DIVERGED") << ", "
               << t1.replans << " re-plans ("
-              << t1.replanMemoHits << " reused rounds, "
               << formatDouble(t1.replanSeconds, 3) << " s)\n";
     std::cout << "re-planning exercised: "
               << (replanned ? "yes" : "NO") << "\n";

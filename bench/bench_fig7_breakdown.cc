@@ -7,7 +7,7 @@
  *
  * Second section (also run standalone via --phases-only, the mode
  * registered with ctest): the LC-OPG per-phase breakdown — process /
- * stage / build / solve / merge — over the Table-4 model set, planned
+ * stage / solve / merge — over the Table-4 model set, planned
  * with threads = 1, 4, and hardware_concurrency. Checks that the three
  * plans are byte-identical per model (the parallel pipeline's
  * determinism contract) and that every phase is accounted for.
@@ -42,20 +42,14 @@ runPhaseBreakdown()
     if (hw != 1 && hw != 4)
         arms.push_back(hw);
 
-    Table t({"Model", "Thr", "Process (s)", "Stage (s)", "Build (s)",
+    Table t({"Model", "Thr", "Process (s)", "Stage (s)",
              "Solve wall (s)", "Solve cpu (s)", "Merge (s)",
              "Identical"});
     bool ok = true;
     for (const auto &m : table4ModelSet()) {
         std::string ref_plan;
         for (int threads : arms) {
-            // Equal footing per arm: no warm starts leaking between
-            // thread counts (hints could legally improve truncated
-            // windows and break the byte-identical comparison).
-            core::PlanMemo::global().clear();
             core::OpgParams params;
-            params.solverDecisionsPerWindow = 20000;
-            params.restartConflictBase = 1024;
             params.parallel.threads = threads;
             core::LcOpgPlanner planner(*m.graph, cap, km, params);
             core::PlanStats stats;
@@ -71,7 +65,6 @@ runPhaseBreakdown()
             t.addRow({m.name, std::to_string(threads),
                       formatDouble(stats.processNodesSeconds, 4),
                       formatDouble(stats.stageSeconds, 4),
-                      formatDouble(stats.buildModelSeconds, 4),
                       formatDouble(stats.solveSeconds, 3),
                       formatDouble(stats.solveCpuSeconds, 3),
                       formatDouble(stats.mergeSeconds, 4),
@@ -80,7 +73,6 @@ runPhaseBreakdown()
         t.addRule();
     }
     t.print(std::cout);
-    core::PlanMemo::global().clear();
     std::cout << "\nDeterminism (plans byte-identical across threads="
               << "1/4/" << hw << "): " << (ok ? "PASS" : "FAIL")
               << "\n";
@@ -136,9 +128,6 @@ main(int argc, char **argv)
 
         double prev_speedup = 0.0;
         for (const auto &step : steps) {
-            // Equal footing: no warm starts leaking between ablation
-            // arms (budget-truncated plans are history-dependent).
-            core::PlanMemo::global().clear();
             core::FlashMem fm(dev, step.opt);
             auto r = runFlash(fm, g);
             double speedup =

@@ -1,7 +1,7 @@
 /**
  * @file
  * Google-benchmark micro suites for the performance-sensitive library
- * components: the CP-SAT solver, LC-OPG planning end to end, texture
+ * components: LC-OPG planning end to end, texture
  * layout/cache simulation, the GBT regressor, the streaming runtime,
  * and windowed memory-trace queries.
  */
@@ -15,47 +15,10 @@
 #include "models/model_zoo.hh"
 #include "profiler/capacity.hh"
 #include "profiler/gbt.hh"
-#include "solver/solver.hh"
 
 namespace {
 
 using namespace flashmem;
-
-/** CP-SAT on OPG-window-shaped instances of growing size. */
-void
-BM_SolverWindow(benchmark::State &state)
-{
-    const int weights = static_cast<int>(state.range(0));
-    const int layers = 8;
-    for (auto _ : state) {
-        solver::CpModel m;
-        std::vector<std::vector<solver::VarId>> x(weights);
-        for (int w = 0; w < weights; ++w) {
-            std::vector<solver::LinearTerm> row;
-            for (int l = 0; l < layers; ++l) {
-                x[w].push_back(m.newIntVar(0, 8));
-                row.push_back({x[w][l], 1});
-            }
-            m.addEquality(row, 8);
-        }
-        for (int l = 0; l < layers; ++l) {
-            std::vector<solver::LinearTerm> col;
-            for (int w = 0; w < weights; ++w)
-                col.push_back({x[w][l], 1});
-            m.addLessOrEqual(col, weights * 2);
-        }
-        std::vector<solver::LinearTerm> obj;
-        for (int w = 0; w < weights; ++w)
-            for (int l = 0; l < layers; ++l)
-                obj.push_back({x[w][l], layers - l});
-        m.minimize(obj);
-        solver::SolverParams params;
-        params.timeLimitSeconds = 0.02;
-        auto r = solver::CpSolver(params).solve(m);
-        benchmark::DoNotOptimize(r.objective);
-    }
-}
-BENCHMARK(BM_SolverWindow)->Arg(8)->Arg(16)->Arg(32);
 
 /** Full LC-OPG plan generation per model scale. */
 void

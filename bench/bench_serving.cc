@@ -19,8 +19,8 @@
  * and the traced crash_midrun run's event count.
  *
  * `--determinism`: run the headline 1M-request trace and a capacity
- * sweep under (planner threads, pool threads) = (1,1) and (4,4) on
- * isolated PlanMemos and fail unless every policy's p50/p95/p99, shed
+ * sweep under (planner threads, pool threads) = (1,1) and (4,4) and
+ * fail unless every policy's p50/p95/p99, shed
  * and degraded counts, goodput, makespan, and max sustainable QPS are
  * bit-identical — the ctest-registered serving determinism check.
  *
@@ -102,12 +102,11 @@ struct Arm
 /** Calibrate the model mix on a fresh FlashMem at @p planner_threads
  * and derive the offered-load operating points from it. */
 Arm
-calibrateArm(core::PlanMemo &memo, int planner_threads)
+calibrateArm(int planner_threads)
 {
     auto dev = gpusim::DeviceProfile::onePlus12();
     core::FlashMemOptions opt;
     opt.opg.parallel.threads = planner_threads;
-    opt.opg.memo = &memo;
     core::FlashMem fm(dev, opt);
 
     Arm arm;
@@ -476,16 +475,14 @@ struct AdmissionStudy
  * gated-vs-ungated is a pure timing comparison.
  */
 AdmissionStudy
-runAdmissionStudy(const Arm &arm, core::PlanMemo &memo,
-                  int planner_threads)
+runAdmissionStudy(const Arm &arm, int planner_threads)
 {
     // Oracle calibration of the cold models the warm table never saw
-    // (same device profile / memo as the warm arm, so the merged table
-    // is what one calibration pass over all six models would yield).
+    // (same device profile as the warm arm, so the merged table is
+    // what one calibration pass over all six models would yield).
     auto dev = gpusim::DeviceProfile::onePlus12();
     core::FlashMemOptions opt;
     opt.opg.parallel.threads = planner_threads;
-    opt.opg.memo = &memo;
     core::FlashMem fm(dev, opt);
     const std::vector<models::ModelId> cold_models = {
         ModelId::DeepViT, ModelId::DepthAnythingL};
@@ -715,8 +712,7 @@ exportFaultCounters(const multidnn::FaultCounters &fc,
 int
 runTraceExport(const char *path)
 {
-    core::PlanMemo memo;
-    auto arm = calibrateArm(memo, ThreadPool::defaultThreadCount());
+    auto arm = calibrateArm(ThreadPool::defaultThreadCount());
     const double qps =
         kAdmissionOverload * arm.capacityQps * kFaultDevices;
     const SimTime horizon = seconds(
@@ -816,8 +812,7 @@ wallSeconds(Fn &&fn)
 int
 runObsTiming()
 {
-    core::PlanMemo memo;
-    auto arm = calibrateArm(memo, ThreadPool::defaultThreadCount());
+    auto arm = calibrateArm(ThreadPool::defaultThreadCount());
     auto ft = makeFaultTrace(arm);
     printHeading(std::cout,
                  "Observability: tracing overhead on the serving path");
@@ -904,8 +899,7 @@ int
 runShardingDeterminismCheck()
 {
     auto run_study = [&](int threads) {
-        core::PlanMemo memo;
-        auto arm = calibrateArm(memo, threads);
+        auto arm = calibrateArm(threads);
         ThreadPool pool(threads);
         return runShardingStudy(arm, pool, /*sweep_requests=*/50000,
                                 /*headline_requests=*/100000);
@@ -937,8 +931,7 @@ int
 runDeterminismCheck()
 {
     auto run_arm = [&](int threads) {
-        core::PlanMemo memo;
-        auto arm = calibrateArm(memo, threads);
+        auto arm = calibrateArm(threads);
         ThreadPool pool(threads);
         return runArm(arm, pool, kHeadlineRequests,
                       /*sweep_requests=*/100000);
@@ -996,8 +989,7 @@ main(int argc, char **argv)
     printHeading(std::cout,
                  "Serving harness: 1M-request capacity study");
 
-    core::PlanMemo memo;
-    auto arm = calibrateArm(memo, ThreadPool::defaultThreadCount());
+    auto arm = calibrateArm(ThreadPool::defaultThreadCount());
 
     std::cout << "calibrated capacity "
               << formatDouble(arm.capacityQps, 1) << " QPS, headline "
@@ -1282,7 +1274,7 @@ main(int argc, char **argv)
 
     // ------------------------------------------- admission study
     auto admission =
-        runAdmissionStudy(arm, memo, ThreadPool::defaultThreadCount());
+        runAdmissionStudy(arm, ThreadPool::defaultThreadCount());
     ok &= reportAdmissionStudy(admission, ledger);
 
     // --------------------------------------- observability check

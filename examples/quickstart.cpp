@@ -45,7 +45,7 @@ main(int argc, char **argv)
               << "  preload set |W|:   "
               << formatBytes(compiled.plan.preloadBytes(compiled.fusedGraph))
               << "\n"
-              << "  solver:            " << compiled.stats.windows
+              << "  planner:           " << compiled.stats.windows
               << " windows, "
               << formatDouble(compiled.stats.solveSeconds, 2)
               << " s solve time\n\n";

@@ -60,7 +60,6 @@ FlashMem::compile(const graph::Graph &model) const
                              options_.opg);
         out.plan = planner.plan(&out.stats);
         out.totalSolveSeconds += out.stats.solveSeconds;
-        out.totalSolverDecisions += out.stats.solverDecisions;
 
         if (!options_.adaptiveFusion ||
             round == options_.maxFusionRounds)
@@ -145,7 +144,6 @@ FlashMem::replan(const CompiledModel &compiled, Bytes mPeak) const
                          options_.opg);
     out.plan = planner.replan(mPeak, &out.stats);
     out.totalSolveSeconds = out.stats.solveSeconds;
-    out.totalSolverDecisions = out.stats.solverDecisions;
 
     KernelRewriter rewriter(out.fusedGraph, out.plan,
                             options_.kernelRewriting);

@@ -66,7 +66,6 @@ struct CompiledModel
     int groupsSplit = 0;
     /** @name Aggregates across all adaptive-fusion rounds. @{ */
     double totalSolveSeconds = 0.0;
-    std::uint64_t totalSolverDecisions = 0;
     /** @} */
 
     /** Fraction of weight bytes streamed rather than preloaded. */
@@ -91,10 +90,8 @@ class FlashMem
      * On-device re-planning: produce a sibling of @p compiled whose
      * overlap plan is solved under @p mPeak instead of the budget it
      * shipped with. The fused graph is reused as-is (fusion decisions
-     * are budget-independent, so the adaptive-fusion loop is skipped)
-     * and window solves go through the configured PlanMemo, which
-     * replays kept solves the new budget cannot reach
-     * (LcOpgPlanner::replan gives the measured cost). Repeated budget
+     * are budget-independent, so the adaptive-fusion loop is skipped;
+     * LcOpgPlanner::replan gives the cost). Repeated budget
      * shifts — the multi-DNN scheduler admitting/evicting co-resident
      * models — are cheap and bit-deterministic for any thread count.
      */

@@ -6,8 +6,6 @@
 
 #include "common/logging.hh"
 #include "common/thread_pool.hh"
-#include "solver/model.hh"
-#include "solver/symmetry.hh"
 
 namespace flashmem::core {
 
@@ -211,153 +209,8 @@ LcOpgPlanner::stageWindow(graph::NodeId start, graph::NodeId end,
     return in;
 }
 
-LcOpgPlanner::RoundModel
-LcOpgPlanner::buildWindowModel(const WindowInput &in, double relax,
-                               const std::vector<bool> &forced) const
-{
-    // FMLINT(allow:no-wall-clock) reported PlanStats timings only; plan content never reads the clock
-    auto build_t0 = std::chrono::steady_clock::now();
-    const std::int64_t mpeak_chunks = static_cast<std::int64_t>(
-        params_.mPeak / params_.chunkBytes);
-
-    const auto &weights = in.weights;
-    const auto &cands = in.cands;
-    const auto &greedy = in.greedy;
-    const graph::NodeId end = in.end;
-    const graph::NodeId min_cand = in.minCand;
-
-    RoundModel rm;
-    solver::CpModel &m = rm.model;
-    std::vector<solver::VarId> &y_vars = rm.y_vars;
-    std::vector<solver::VarId> &z_vars = rm.z_vars;
-    std::vector<std::vector<solver::VarId>> &x_vars = rm.x_vars;
-    std::vector<std::int64_t> &hint = rm.hint;
-    y_vars.resize(weights.size());
-    z_vars.assign(weights.size(), -1);
-    x_vars.resize(weights.size());
-
-    std::vector<solver::LinearTerm> objective;
-    for (std::size_t k = 0; k < weights.size(); ++k) {
-        const auto &w = g_.weight(weights[k]);
-        std::int64_t t_w = chunk_count_[weights[k]];
-        std::int64_t y_lo = forced[k] ? t_w : 0;
-        y_vars[k] = m.newIntVar(y_lo, t_w, w.name + ".preload");
-        hint.push_back(forced[k] ? t_w : greedy.preload[k]);
-        // lambda-weighted preload cost.
-        objective.push_back({y_vars[k], objCoef(params_.lambda)});
-
-        std::vector<solver::LinearTerm> coverage{{y_vars[k], 1}};
-        for (auto l : cands[k]) {
-            std::int64_t cap = std::min<std::int64_t>(
-                {t_w,
-                 static_cast<std::int64_t>(
-                     static_cast<double>(in.residual[l]) *
-                     relax),
-                 mpeak_chunks});
-            auto x = m.newIntVar(0, std::max<std::int64_t>(cap,
-                                                           0));
-            x_vars[k].push_back(x);
-            coverage.push_back({x, 1});
-            // Tie-break: transform close to the consumer.
-            objective.push_back({x, w.consumer - l - 1});
-            std::int64_t hint_x = 0;
-            if (!forced[k]) {
-                for (auto &[gl, gc] : greedy.assignments[k]) {
-                    if (gl == l)
-                        hint_x = gc;
-                }
-            }
-            hint.push_back(hint_x);
-        }
-        // C0: completeness of allocation.
-        m.addEquality(coverage, t_w);
-
-        // z_w and C1 implications (streamed weights only).
-        if (!cands[k].empty()) {
-            graph::NodeId z_lo = std::max<graph::NodeId>(
-                0, w.consumer - params_.maxLoadDistance);
-            z_vars[k] =
-                m.newIntVar(z_lo, w.consumer, w.name + ".z");
-            // mu-weighted loading distance i_w - z_w.
-            objective.push_back({z_vars[k], -objCoef(params_.mu)});
-            for (std::size_t j = 0; j < cands[k].size(); ++j) {
-                m.addImplicationGeLe(x_vars[k][j], 1, z_vars[k],
-                                     cands[k][j]);
-            }
-            graph::NodeId hint_z = w.consumer;
-            if (!forced[k] && !greedy.assignments[k].empty()) {
-                for (auto &[gl, gc] : greedy.assignments[k])
-                    hint_z = std::min(hint_z, gl);
-            }
-            hint.push_back(hint_z);
-        }
-    }
-
-    // C3: per-layer load capacity.
-    for (graph::NodeId l = min_cand; l < end && min_cand < end;
-         ++l) {
-        std::vector<solver::LinearTerm> col;
-        for (std::size_t k = 0; k < weights.size(); ++k) {
-            for (std::size_t j = 0; j < cands[k].size(); ++j) {
-                if (cands[k][j] == l)
-                    col.push_back({x_vars[k][j], 1});
-            }
-        }
-        if (!col.empty()) {
-            m.addLessOrEqual(
-                col, static_cast<std::int64_t>(
-                         static_cast<double>(in.residual[l]) *
-                         relax));
-        }
-    }
-
-    // C2: in-flight transformed-but-unconsumed memory.
-    for (graph::NodeId p = min_cand; p < end && min_cand < end;
-         ++p) {
-        std::vector<solver::LinearTerm> inflight;
-        for (std::size_t k = 0; k < weights.size(); ++k) {
-            if (g_.weight(weights[k]).consumer <= p)
-                continue;
-            for (std::size_t j = 0; j < cands[k].size(); ++j) {
-                if (cands[k][j] <= p)
-                    inflight.push_back({x_vars[k][j], 1});
-            }
-        }
-        if (!inflight.empty()) {
-            m.addLessOrEqual(inflight, std::max<std::int64_t>(
-                                           mpeak_chunks -
-                                               in.inflight[p],
-                                           0));
-        }
-    }
-
-    m.minimize(objective);
-
-    // Symmetry breaking: group verified-interchangeable weight blocks
-    // (y, x..., z) and chain them with leader-function orderings.
-    if (params_.symmetryBreaking) {
-        std::vector<solver::VarBlock> blocks(weights.size());
-        for (std::size_t k = 0; k < weights.size(); ++k) {
-            auto &b = blocks[k].vars;
-            b.reserve(2 + x_vars[k].size());
-            b.push_back(y_vars[k]);
-            b.insert(b.end(), x_vars[k].begin(), x_vars[k].end());
-            if (z_vars[k] >= 0)
-                b.push_back(z_vars[k]);
-        }
-        const auto groups = solver::groupInterchangeableBlocks(m, blocks);
-        if (!groups.empty()) {
-            rm.lexRows = solver::addSymmetryBreaking(m, blocks, groups);
-            solver::canonicalizeHint(m, blocks, groups, hint);
-        }
-    }
-
-    rm.buildSeconds = secondsSince(build_t0);
-    return rm;
-}
-
 WindowFlowProblem
-LcOpgPlanner::flowProblem(const WindowInput &in, double relax,
+LcOpgPlanner::flowProblem(const WindowInput &in,
                           const std::vector<bool> &forced) const
 {
     const std::int64_t mpeak_chunks = static_cast<std::int64_t>(
@@ -366,10 +219,8 @@ LcOpgPlanner::flowProblem(const WindowInput &in, double relax,
     const auto mu_coef = objCoef(params_.mu);
 
     WindowFlowProblem p;
-    p.layerCap.resize(static_cast<std::size_t>(in.end - in.minCand));
-    for (graph::NodeId l = in.minCand; l < in.end; ++l)
-        p.layerCap[l - in.minCand] = static_cast<std::int64_t>(
-            static_cast<double>(in.residual[l]) * relax);
+    p.layerCap.assign(in.residual.begin() + in.minCand,
+                      in.residual.begin() + in.end);
     p.supply.resize(in.weights.size());
     p.preloadCost.assign(in.weights.size(),
                          kFlowCostScale * lambda_coef);
@@ -416,12 +267,13 @@ LcOpgPlanner::windowObjective(
 }
 
 bool
-LcOpgPlanner::flowRound(WindowSolveState &st) const
+LcOpgPlanner::flowRound(const WindowInput &in, int round,
+                        const std::vector<bool> &forced,
+                        WindowOutput &out) const
 {
-    const WindowInput &in = *st.in;
-    WindowResult &result = st.out.result;
+    WindowResult &result = out.result;
     const auto mu_coef = objCoef(params_.mu);
-    const auto p = flowProblem(in, st.relax, st.forced);
+    const auto p = flowProblem(in, forced);
     const auto flow = solveWindowFlow(p);
 
     std::vector<std::vector<std::pair<graph::NodeId, std::int64_t>>>
@@ -448,8 +300,8 @@ LcOpgPlanner::flowRound(WindowSolveState &st) const
         if (!in.cands[k].empty())
             z_sum += consumer;
     }
-    if (st.round == 0) {
-        // Round 0's hint is the greedy warm start, a feasible flow.
+    if (round == 0) {
+        // Round 0's greedy warm start is a feasible flow.
         WindowFlow greedy{0, in.greedy.preload, {}};
         greedy.flow.resize(in.weights.size());
         for (std::size_t k = 0; k < in.weights.size(); ++k) {
@@ -476,12 +328,12 @@ LcOpgPlanner::flowRound(WindowSolveState &st) const
             return false;
     }
 
-    st.out.preload = flow.preload;
-    st.out.assign = std::move(assign);
-    st.out.z = std::move(z);
+    out.preload = flow.preload;
+    out.assign = std::move(assign);
+    out.z = std::move(z);
     result.flow = true;
-    result.objective =
-        windowObjective(in, st.out.preload, st.out.assign);
+    result.usedGreedy = false;
+    result.objective = windowObjective(in, out.preload, out.assign);
     result.status = result.objective == result.flowBound
                         ? solver::SolveStatus::Optimal
                         : solver::SolveStatus::Feasible;
@@ -489,102 +341,55 @@ LcOpgPlanner::flowRound(WindowSolveState &st) const
 }
 
 bool
-LcOpgPlanner::interpretRound(WindowSolveState &st,
-                             const solver::SolveResult &r) const
+LcOpgPlanner::pinHeaviestPreload(const WindowInput &in, int round,
+                                 std::vector<bool> &forced,
+                                 WindowOutput &out) const
 {
-    const WindowInput &in = *st.in;
-    WindowResult &result = st.out.result;
-
-    result.buildSeconds += st.rm.buildSeconds;
-    result.lexRows += st.rm.lexRows;
-    if (st.rm.reused)
-        ++result.reusedRounds;
-    result.solveSeconds += r.wallSeconds;
-    result.decisions += r.decisions;
-    result.propagations += r.propagations;
-    result.conflicts += r.backtracks;
-    result.restarts += r.restarts;
-    result.status = r.status;
-    result.objective = r.objective;
-    if (result.stopReason != solver::StopReason::TimeLimit)
-        result.stopReason = r.stopReason;
-
-    if (!r.feasible()) {
-        // Tier 1: soft-threshold relaxation of C_l.
-        if (st.round < params_.maxFallbackRounds) {
-            st.relax *= params_.softThresholdGrowth;
-            ++result.softRelaxations;
-            ++st.round;
-            return false;
-        }
-        applyGreedy(in, st.out);
-        return true;
-    }
-
-    // Extract candidate solution.
     const auto &weights = in.weights;
-    st.out.preload.assign(weights.size(), 0);
-    st.out.assign.assign(weights.size(), {});
-    for (std::size_t k = 0; k < weights.size(); ++k) {
-        st.out.preload[k] = r.value(st.rm.y_vars[k]);
-        for (std::size_t j = 0; j < in.cands[k].size(); ++j) {
-            auto v = r.value(st.rm.x_vars[k][j]);
-            if (v > 0)
-                st.out.assign[k].push_back({in.cands[k][j], v});
-        }
-        if (st.rm.z_vars[k] >= 0 && !st.out.assign[k].empty())
-            st.out.z[k] = static_cast<graph::NodeId>(
-                r.value(st.rm.z_vars[k]));
-    }
-    return finishRound(st);
-}
-
-bool
-LcOpgPlanner::finishRound(WindowSolveState &st) const
-{
-    const auto &weights = st.in->weights;
-    const auto &extracted_preload = st.out.preload;
     Bytes window_bytes = 0, preload_bytes = 0;
     for (std::size_t k = 0; k < weights.size(); ++k) {
         window_bytes += g_.weight(weights[k]).bytes();
         preload_bytes += slicer_.bytesForChunks(g_.weight(weights[k]),
-                                                extracted_preload[k]);
+                                                out.preload[k]);
     }
 
     // Tier 2: if capacity pressure forced most of the window into W,
-    // pin the heaviest offender and re-solve so the solver
+    // pin the heaviest offender and re-plan so the next round
     // redistributes the rest.
     double preload_frac =
         window_bytes ? static_cast<double>(preload_bytes) / window_bytes
                      : 0.0;
-    if (preload_frac > 0.8 && st.round < params_.maxFallbackRounds) {
-        std::size_t worst = 0;
-        std::int64_t worst_chunks = -1;
-        for (std::size_t k = 0; k < weights.size(); ++k) {
-            if (!st.forced[k] && extracted_preload[k] > worst_chunks) {
-                worst_chunks = extracted_preload[k];
-                worst = k;
-            }
-        }
-        if (worst_chunks > 0) {
-            st.forced[worst] = true;
-            ++st.out.result.forcedPreloads;
-            ++st.round;
-            return false;
+    if (preload_frac <= 0.8 || round >= params_.maxFallbackRounds)
+        return false;
+    std::size_t worst = 0;
+    std::int64_t worst_chunks = -1;
+    for (std::size_t k = 0; k < weights.size(); ++k) {
+        if (!forced[k] && out.preload[k] > worst_chunks) {
+            worst_chunks = out.preload[k];
+            worst = k;
         }
     }
+    if (worst_chunks <= 0)
+        return false;
+    forced[worst] = true;
+    ++out.result.forcedPreloads;
     return true;
 }
 
 void
-LcOpgPlanner::applyGreedy(const WindowInput &in, WindowOutput &out) const
+LcOpgPlanner::applyGreedy(const WindowInput &in,
+                          const std::vector<bool> &forced,
+                          WindowOutput &out) const
 {
     out.result.usedGreedy = true;
     out.preload = in.greedy.preload;
     out.assign = in.greedy.assignments;
-    if (out.z.size() != in.weights.size())
-        out.z.assign(in.weights.size(), graph::kInvalidNode);
+    out.z.assign(in.weights.size(), graph::kInvalidNode);
     for (std::size_t k = 0; k < in.weights.size(); ++k) {
+        if (forced[k]) {
+            out.preload[k] = chunk_count_[in.weights[k]];
+            out.assign[k].clear();
+        }
         graph::NodeId z = g_.weight(in.weights[k]).consumer;
         for (auto &[l, c] : out.assign[k])
             z = std::min(z, l);
@@ -595,6 +400,23 @@ LcOpgPlanner::applyGreedy(const WindowInput &in, WindowOutput &out) const
     out.result.flow = false;
     out.result.objective =
         windowObjective(in, out.preload, out.assign);
+}
+
+LcOpgPlanner::WindowOutput
+LcOpgPlanner::solveWindow(const WindowInput &in) const
+{
+    // FMLINT(allow:no-wall-clock) reported PlanStats timings only; plan content never reads the clock
+    auto t0 = std::chrono::steady_clock::now();
+    WindowOutput out;
+    std::vector<bool> forced(in.weights.size(), false);
+    for (int round = 0;; ++round) {
+        if (!flowRound(in, round, forced, out))
+            applyGreedy(in, forced, out);
+        if (!pinHeaviestPreload(in, round, forced, out))
+            break;
+    }
+    out.result.solveSeconds = secondsSince(t0);
+    return out;
 }
 
 void
@@ -697,12 +519,6 @@ LcOpgPlanner::rebalanceMerge(OverlapPlan &plan, PlanStats &stats)
     }
 }
 
-PlanMemo &
-LcOpgPlanner::memoRef() const
-{
-    return params_.memo ? *params_.memo : PlanMemo::global();
-}
-
 OverlapPlan
 LcOpgPlanner::plan(PlanStats *stats)
 {
@@ -747,9 +563,8 @@ LcOpgPlanner::plan(PlanStats *stats)
     }
     local.stageSeconds = secondsSince(stage_t0);
 
-    // Phase 2 — solve: one solve task per (window, round) runs on a
-    // shared pool; the main thread builds each round's model, drives
-    // each window's fallback-round state machine and consumes results
+    // Phase 2 — solve: one task per non-empty window on a shared pool,
+    // each a pure function of its staged input; results are consumed
     // in submission (window) order, so downstream phases never observe
     // completion order.
     const int threads =
@@ -759,82 +574,18 @@ LcOpgPlanner::plan(PlanStats *stats)
     local.threads = threads;
     // FMLINT(allow:no-wall-clock) reported PlanStats timings only; plan content never reads the clock
     auto solve_t0 = std::chrono::steady_clock::now();
-    std::vector<WindowOutput> outputs;
-    outputs.reserve(inputs.size());
+    std::vector<WindowOutput> outputs(inputs.size());
     {
         ThreadPool pool(threads);
-        std::vector<WindowSolveState> states(inputs.size());
-        solver::SolverParams sp;
-        sp.maxDecisions = params_.solverDecisionsPerWindow;
-        sp.engine = params_.solverEngine;
-        sp.restartConflictBase = params_.restartConflictBase;
-        // Runs @p st's rounds until one needs the CP search (then
-        // submitted) or the window is done. The flow settles every
-        // round whose solution satisfies C2; the rest build a model
-        // and search it. A round whose solve a kept record replays
-        // (the budget moved only rows the recorded search never
-        // tightened) takes the recorded result instead of searching;
-        // see solver::replaysRecord. Flows, lookups and stores all run
-        // here on the main thread, in a thread-count-independent
-        // order.
-        auto advance = [&](WindowSolveState &st) {
-            while (flowRound(st)) {
-                if (finishRound(st)) {
-                    st.done = true;
-                    return;
-                }
-            }
-            st.out.result.flow = false;
-            // Tier 3 guard: skip the solver outright for degenerate
-            // over-wide windows (solver cost grows superlinearly).
-            std::size_t var_estimate = 0;
-            for (const auto &c : st.in->cands)
-                var_estimate += c.size() + 2;
-            if (var_estimate > 2000) {
-                applyGreedy(*st.in, st.out);
-                st.done = true;
-                return;
-            }
-            st.rm = buildWindowModel(*st.in, st.relax, st.forced);
-            if (auto hit =
-                    memoRef().findSolve(st.rm.model, st.rm.hint, sp)) {
-                std::promise<solver::SolveResult> ready;
-                ready.set_value(std::move(*hit));
-                st.solve = ready.get_future();
-                st.rm.reused = true;
-                return;
-            }
-            st.solve = pool.submit([&st, sp]() {
-                return solver::CpSolver(sp).solve(st.rm.model,
-                                                  &st.rm.hint);
-            });
-        };
+        std::vector<std::future<WindowOutput>> solves(inputs.size());
         for (std::size_t i = 0; i < inputs.size(); ++i) {
-            WindowSolveState &st = states[i];
-            st.in = &inputs[i];
-            const auto &in = inputs[i];
-            if (in.weights.empty()) {
-                st.done = true;
-                continue;
-            }
-            st.forced.assign(in.weights.size(), false);
-            st.out.z.assign(in.weights.size(), graph::kInvalidNode);
-            advance(st);
+            if (!inputs[i].weights.empty())
+                solves[i] = pool.submit(
+                    [this, &in = inputs[i]]() { return solveWindow(in); });
         }
         for (std::size_t i = 0; i < inputs.size(); ++i) {
-            WindowSolveState &st = states[i];
-            while (!st.done) {
-                solver::SolveResult r = st.solve.get();
-                st.done = interpretRound(st, r);
-                // The round model is spent: keep it as a record.
-                if (!st.rm.reused)
-                    memoRef().storeSolve({std::move(st.rm.model),
-                                          std::move(st.rm.hint), sp,
-                                          std::move(r)});
-                if (!st.done)
-                    advance(st);
-            }
-            outputs.push_back(std::move(st.out));
+            if (solves[i].valid())
+                outputs[i] = solves[i].get();
         }
     }
     local.solveSeconds = secondsSince(solve_t0);
@@ -859,12 +610,7 @@ LcOpgPlanner::plan(PlanStats *stats)
         s.window = local.windows;
         s.status = wr.status;
         s.usedGreedy = wr.usedGreedy;
-        s.decisions = wr.decisions;
-        s.propagations = wr.propagations;
-        s.conflicts = wr.conflicts;
-        s.restarts = wr.restarts;
-        s.stopReason = wr.stopReason;
-        s.reusedRounds = wr.reusedRounds;
+        s.forcedPreloads = wr.forcedPreloads;
         s.flow = wr.flow;
         s.empty = in.weights.empty();
         if (!s.empty)
@@ -880,18 +626,8 @@ LcOpgPlanner::plan(PlanStats *stats)
         local.objective += s.objective;
         local.windowSummaries.push_back(std::move(s));
         ++local.windows;
-        local.symmetryRows += wr.lexRows;
-        local.buildModelSeconds += wr.buildSeconds;
         local.solveCpuSeconds += wr.solveSeconds;
-        local.solverDecisions += wr.decisions;
-        local.solverPropagations += wr.propagations;
-        local.solverConflicts += wr.conflicts;
-        local.solverRestarts += wr.restarts;
-        local.softRelaxations += wr.softRelaxations;
         local.forcedPreloads += wr.forcedPreloads;
-        local.reusedRounds += wr.reusedRounds;
-        if (wr.stopReason == solver::StopReason::TimeLimit)
-            ++local.timeLimitedWindows;
         if (in.weights.empty()) {
             ++local.emptyWindows;
         } else if (wr.usedGreedy) {

@@ -12,21 +12,19 @@
  * per-layer load capacities C_l and the in-flight memory bound M_peak
  * hold (C2, C3).
  *
- * The planner follows the paper's implementation notes: incremental
- * scheduling over a rolling layer window keeps each CP-SAT instance
- * small; a greedy warm start seeds the search; and the C4 tiered
- * fallback (soft-threshold relaxation -> incremental preloading ->
- * greedy backup) guarantees a plan within the time limit.
+ * The paper solves each window with CP-SAT from a greedy warm start.
+ * Here every window round first solves its transportation core (C0, C3
+ * and the variable caps; core/window_flow.hh) as an exact integer
+ * min-cost flow, with z_w set to the earliest layer the flow uses. When
+ * that solution also satisfies C2 on the staged in-flight snapshot it
+ * is the round's result. A round where C2 binds ships the greedy warm
+ * start instead. No CP model is built and nothing is searched: the
+ * formulation (C0-C4) is the paper's, the flow solves its C2-relaxed
+ * core exactly, and the greedy start is always C2-feasible. C4's
+ * incremental-preloading tier still pins the heaviest preloader of a
+ * window that ends up mostly in W and re-plans the window.
  *
- * Flow first: every window round first solves its transportation core
- * (C0, C3 and the variable caps; core/window_flow.hh) as an exact
- * integer min-cost flow, with z_w set to the earliest layer the flow
- * uses. When that solution also satisfies C2 on the staged in-flight
- * snapshot it is the round's result: no CP model is built and nothing
- * is searched. Only rounds where C2 binds fall back to the greedy
- * warm start + CP search.
- *
- * Whole-plan generation is a three-phase pipeline (PR 2):
+ * Whole-plan generation is a three-phase pipeline:
  *   1. stage  — sequential: each window's inputs (weight slice,
  *      candidates, greedy warm start, residual-capacity snapshot) are
  *      computed up front, with the greedy acting as the staged
@@ -43,14 +41,13 @@
 #define FLASHMEM_CORE_LC_OPG_HH
 
 #include <cstdint>
-#include <future>
 #include <vector>
 
 #include "core/overlap_plan.hh"
 #include "core/window_flow.hh"
 #include "gpusim/kernel.hh"
 #include "profiler/capacity.hh"
-#include "solver/solver.hh"
+#include "solver/model.hh"
 
 namespace flashmem::core {
 
@@ -79,19 +76,8 @@ struct OpgParams
     int windowLayers = 32;
     /** How many layers before i_w a chunk may be transformed. */
     int maxLoadDistance = 24;
-    /**
-     * CP search budget per window round, in decisions. Only rounds
-     * whose flow solution violates C2 search (see the file comment),
-     * so it bounds the C2-binding fallback, not every window. A
-     * decision-based budget keeps planning bit-deterministic across
-     * hosts; the solver's own wall-clock limit
-     * (SolverParams::timeLimitSeconds) stays at its default, far
-     * beyond any window at this budget.
-     */
-    std::uint64_t solverDecisionsPerWindow = 20000;
-    /** C4 soft-threshold relaxation factor per fallback round. */
-    double softThresholdGrowth = 1.3;
-    /** Fallback rounds before the greedy backup takes over a window. */
+    /** C4 incremental-preloading rounds: how many times one window
+     * may pin its heaviest preloader into W and re-plan. */
     int maxFallbackRounds = 2;
     /**
      * Explicit preload list (paper Section 5.4: "weights can also be
@@ -101,13 +87,7 @@ struct OpgParams
      * The latency-priority end of the Figure-8 trade-off.
      */
     double minPreloadFraction = 0.0;
-    /**
-     * Memo of solve records to consult and fill; nullptr means
-     * PlanMemo::global(). A round whose solve a kept record replays
-     * bit for bit (it differs only in row bounds the recorded search
-     * never reached) takes the recorded result instead of searching,
-     * so the memo changes planning speed, never plans.
-     */
+    /** Inert: the planner keeps no memo (see PlanMemo). */
     PlanMemo *memo = nullptr;
     /**
      * Merge-time capacity re-balancing (second merge pass): after the
@@ -120,25 +100,6 @@ struct OpgParams
      * authoritative ledgers.
      */
     bool mergeRebalance = true;
-    /** CP search kernel (Baseline kept for before/after benches). */
-    solver::SearchEngine solverEngine = solver::SearchEngine::Trail;
-    /**
-     * Luby restart base (conflicts) for window solves; 0 = off.
-     * Useful on budget-truncated (FEASIBLE) windows, where restarts
-     * with solution phase saving keep incumbent quality under the same
-     * decision budget; leave off when windows are expected to prove
-     * optimality (restart overhead delays exhaustion proofs).
-     */
-    std::uint64_t restartConflictBase = 0;
-    /**
-     * Detect interchangeable same-consumer weight blocks (equal T(w),
-     * equal candidate layers) at model-build time and add lex-ordering
-     * rows so the solver stops exploring permuted duplicates of the
-     * same subtree (solver/symmetry.hh). Sound: the verifier proves
-     * block-swap invariance exactly before any row is added, and the
-     * greedy hint is canonicalized to the chosen order.
-     */
-    bool symmetryBreaking = true;
     /** Window-solve parallelism (plan stays byte-identical). */
     ParallelPlanParams parallel;
 };
@@ -156,23 +117,13 @@ struct PlanStats
     {
         int window = 0;
         solver::SolveStatus status = solver::SolveStatus::Optimal;
+        /** The final round's flow broke C2, so the window shipped the
+         * staged greedy warm start (pinned weights fully preloaded). */
         bool usedGreedy = false;
-        std::uint64_t decisions = 0;
-        std::uint64_t propagations = 0;
-        std::uint64_t conflicts = 0; ///< search backtracks
-        std::uint64_t restarts = 0;
-        /**
-         * TimeLimit when any fallback round stopped on the solver's
-         * wall-clock limit (the window's plan then depends on host
-         * speed);
-         * otherwise the final round's reason. Exhausted for windows
-         * that never ran the solver.
-         */
-        solver::StopReason stopReason = solver::StopReason::Exhausted;
-        /** Rounds answered by a PlanMemo solve record, not a search. */
-        int reusedRounds = 0;
+        /** C4 tier-2 pins this window took (PlanStats::forcedPreloads). */
+        int forcedPreloads = 0;
         /** The final round was settled by the min-cost flow (its
-         * solution satisfied C2), not by the CP search. */
+         * solution satisfied C2). */
         bool flow = false;
         /** The window had no weights to place, so nothing was solved
          * (counted in PlanStats::emptyWindows, never as optimal). */
@@ -196,7 +147,8 @@ struct PlanStats
 
     double processNodesSeconds = 0.0;   ///< graph analysis + capacities
     double stageSeconds = 0.0;          ///< window staging (sequential)
-    double buildModelSeconds = 0.0;     ///< CP model construction (CPU, summed)
+    /** Inert, always 0: no CP model is built. */
+    double buildModelSeconds = 0.0;
     /** Wall-clock of the (parallel) solve phase — the Table-4 column. */
     double solveSeconds = 0.0;
     /** Per-window solve time summed across workers (CPU-ish). */
@@ -209,9 +161,11 @@ struct PlanStats
     int feasibleWindows = 0;
     /** Windows with no weights to place (nothing solved). */
     int emptyWindows = 0;
-    int softRelaxations = 0;            ///< C4 tier-1 events
-    int forcedPreloads = 0;             ///< C4 tier-2 events
-    int greedyWindows = 0;              ///< C4 tier-3 events
+    /** Inert, always 0: the soft-threshold relax tier is retired. */
+    int softRelaxations = 0;
+    int forcedPreloads = 0;             ///< C4 tier-2 pins
+    /** Windows whose C2-binding final round shipped the greedy start. */
+    int greedyWindows = 0;
     /** Windows whose final round the min-cost flow settled. */
     int flowWindows = 0;
     /** @name WindowSolveSummary objectives, summed over windows. @{ */
@@ -219,23 +173,19 @@ struct PlanStats
     std::int64_t flowBound = 0;
     std::int64_t objective = 0;
     /** @} */
-    /** Windows whose search stopped on the solver's wall-clock limit
-     * (SolverParams::timeLimitSeconds) in any fallback round. */
-    int timeLimitedWindows = 0;
     int threads = 1;                    ///< worker threads used to solve
     /** @name Merge-time re-balancing (second merge pass). @{ */
     std::int64_t rebalancedChunks = 0;  ///< chunks moved W -> streamed
     int rebalancedWeights = 0;          ///< truncated weights topped up
     /** @} */
+    /** @name Inert, always 0: nothing is searched. Kept for readers
+     * that still report the retired CP search's counters. @{ */
     std::uint64_t solverDecisions = 0;
-    std::uint64_t solverRestarts = 0;   ///< Luby restarts across windows
-    /** Window rounds whose solve a PlanMemo solve record replayed
-     * (PlanMemo::findSolve); their counters are the recorded ones. */
-    int reusedRounds = 0;
-    std::uint64_t solverPropagations = 0; ///< constraint revisions
-    std::uint64_t solverConflicts = 0;    ///< search backtracks
-    /** Symmetry-breaking lex rows added across all window models. */
+    std::uint64_t solverRestarts = 0;
+    std::uint64_t solverPropagations = 0;
+    std::uint64_t solverConflicts = 0;
     int symmetryRows = 0;
+    /** @} */
     std::vector<WindowSolveSummary> windowSummaries;
 };
 
@@ -262,12 +212,10 @@ class LcOpgPlanner
      * re-planning: the multi-DNN scheduler shifts a model's residual
      * capacity share when co-resident models are admitted or evicted).
      * Reuses the graph analysis of the first plan() call — only the
-     * staging/solve/merge phases re-run. The flow settles every round
-     * whose budget leaves C2 slack; only C2-binding rounds search (a
-     * round whose budget change cannot reach a kept search replays it,
-     * PlanStats::reusedRounds). On the model-zoo 50/25/10% ladder a
-     * replan takes about 1 ms where the flow settles every round, up
-     * to 0.36 s for SD-UNet at 10% (Release, 4 threads, 4-vCPU Xeon).
+     * staging/solve/merge phases re-run. Each window round costs one
+     * min-cost flow, plus a greedy copy where C2 binds: the 33 replans
+     * of the model-zoo 50/25/10% ladder take about 0.07 s together
+     * (4 threads, RelWithDebInfo, 4-vCPU Xeon).
      * Deterministic for any thread count, like plan().
      */
     OverlapPlan replan(Bytes mPeak, PlanStats *stats = nullptr);
@@ -282,19 +230,9 @@ class LcOpgPlanner
     struct WindowResult
     {
         bool usedGreedy = false;
-        int softRelaxations = 0;
         int forcedPreloads = 0;
         solver::SolveStatus status = solver::SolveStatus::Optimal;
-        std::uint64_t decisions = 0;
-        std::uint64_t propagations = 0;
-        std::uint64_t conflicts = 0; ///< search backtracks
-        std::uint64_t restarts = 0;
-        double buildSeconds = 0.0;
         double solveSeconds = 0.0;
-        int reusedRounds = 0;
-        /** See PlanStats::WindowSolveSummary::stopReason. */
-        solver::StopReason stopReason = solver::StopReason::Exhausted;
-        int lexRows = 0;        ///< symmetry-breaking rows added
         /** @name See PlanStats::WindowSolveSummary. @{ */
         bool flow = false;
         std::int64_t flowBound = 0;
@@ -307,8 +245,9 @@ class LcOpgPlanner
     /**
      * Greedy latest-feasible chunk placement for the given weights;
      * returns per-weight (assignments, preload leftovers). Used as the
-     * warm start, the tier-3 fallback, and the staged capacity
-     * reservation that decouples windows for parallel solving.
+     * solution of C2-binding rounds, the flow's cost yardstick, and the
+     * staged capacity reservation that decouples windows for parallel
+     * solving.
      */
     struct GreedyOut
     {
@@ -363,70 +302,40 @@ class LcOpgPlanner
         const;
 
     /**
-     * One C4 fallback round's CP model, built on the driver thread:
-     * the window model (C0-C3), symmetry-breaking lex rows over
-     * verified-interchangeable weight blocks, and the canonicalized
-     * greedy warm-start hint.
-     * Once built it is immutable, so a pool task can solve it while
-     * the driver thread builds the next window's model.
+     * One window's rounds, a pure function of @p in (see WindowInput):
+     * each round ships the min-cost flow when it satisfies C2, the
+     * greedy warm start otherwise, then C4 tier 2 may pin a weight and
+     * start the next round.
      */
-    struct RoundModel
-    {
-        solver::CpModel model;
-        std::vector<std::int64_t> hint;
-        std::vector<solver::VarId> y_vars;
-        std::vector<solver::VarId> z_vars; // -1 when fully preloaded
-        std::vector<std::vector<solver::VarId>> x_vars;
-        /** The round's result came from PlanMemo::findSolve. */
-        bool reused = false;
-        int lexRows = 0;
-        double buildSeconds = 0.0;
-    };
-
-    /**
-     * Per-window driver state for the flattened solve phase: plan()
-     * settles each round with the min-cost flow on the driver thread,
-     * submits one task per C2-binding (window, round) to the shared
-     * pool and interprets round results in window order, so the C4
-     * fallback tiers (relax/forced) advance exactly as they would if
-     * each window ran its rounds inside one task.
-     */
-    struct WindowSolveState
-    {
-        const WindowInput *in = nullptr;
-        bool done = false;
-        int round = 0;
-        double relax = 1.0;
-        std::vector<bool> forced;
-        RoundModel rm;
-        std::future<solver::SolveResult> solve;
-        WindowOutput out;
-    };
+    WindowOutput solveWindow(const WindowInput &in) const;
 
     /**
      * One round's transportation core (core/window_flow.hh): weights
      * and arcs in @p in's order, layers indexed from in.minCand,
      * streamChunkCost() per streamed chunk and kFlowCostScale * lambda
-     * per preloaded one.
+     * per preloaded one; pinned (@p forced) weights get no arcs.
      */
-    WindowFlowProblem flowProblem(const WindowInput &in, double relax,
+    WindowFlowProblem flowProblem(const WindowInput &in,
                                   const std::vector<bool> &forced) const;
 
     /**
-     * Solve @p st's current round as a min-cost flow. When the flow
+     * Solve round @p round of @p in as a min-cost flow. When the flow
      * satisfies C2 on the staged in-flight snapshot, extract it into
-     * st.out (z_w = earliest layer used) and return true; otherwise
-     * the round needs the CP fallback.
+     * @p out (z_w = earliest layer used) and return true; otherwise
+     * the round ships the greedy start (applyGreedy).
      */
-    bool flowRound(WindowSolveState &st) const;
+    bool flowRound(const WindowInput &in, int round,
+                   const std::vector<bool> &forced, WindowOutput &out) const;
 
     /**
-     * C4 tier 2 on the round's extracted solution: when capacity
+     * C4 tier 2 on round @p round's extracted solution: when capacity
      * pressure forced most of the window into W, pin the heaviest
-     * offender and advance to the next round. @return true when the
-     * window is done.
+     * offender in @p forced. @return true when a weight was pinned and
+     * the window needs another round.
      */
-    bool finishRound(WindowSolveState &st) const;
+    bool pinHeaviestPreload(const WindowInput &in, int round,
+                            std::vector<bool> &forced,
+                            WindowOutput &out) const;
 
     /** CP window objective of a placement, z_w = earliest layer used
      * (i_w when none) for weights with candidates. */
@@ -436,21 +345,10 @@ class LcOpgPlanner
                                                 std::int64_t>>> &assign)
         const;
 
-    /** Build one round's model for @p in (pure; see RoundModel). */
-    RoundModel buildWindowModel(const WindowInput &in, double relax,
-                                const std::vector<bool> &forced) const;
-
-    /**
-     * Fold one round's solve result into @p st: accumulate stats,
-     * extract the solution or advance the C4 tier state. @return true
-     * when the window is done (solution extracted or demoted to the
-     * greedy backup).
-     */
-    bool interpretRound(WindowSolveState &st,
-                        const solver::SolveResult &r) const;
-
-    /** Fill @p out from the staged greedy solution (tier 3). */
-    void applyGreedy(const WindowInput &in, WindowOutput &out) const;
+    /** Fill @p out from the staged greedy warm start, with the
+     * @p forced weights fully preloaded. */
+    void applyGreedy(const WindowInput &in, const std::vector<bool> &forced,
+                     WindowOutput &out) const;
 
     /**
      * Merge one window's solution into the plan and the authoritative
@@ -477,9 +375,6 @@ class LcOpgPlanner
         const std::vector<graph::WeightId> &weights,
         const std::vector<std::int64_t> &residual_capacity,
         const std::vector<std::int64_t> &inflight_used) const;
-
-    /** Memo instance window solves consult (params_.memo or global). */
-    PlanMemo &memoRef() const;
 
     const graph::Graph &g_;
     const profiler::CapacityProvider &capacity_;

@@ -196,79 +196,6 @@ OverlapPlan::serialize() const
     return os.str();
 }
 
-void
-PlanMemo::clear()
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    stats_ = {};
-    solves_.clear();
-    clock_ = 0;
-}
-
-bool
-PlanMemo::storeSolve(solver::SolveRecord record)
-{
-    if (record.result.stopReason == solver::StopReason::TimeLimit)
-        return false;
-    const std::uint64_t shape = record.model.shapeFingerprint();
-    std::lock_guard<std::mutex> lock(mu_);
-    if (solves_.size() >= kSolveRecords) {
-        // Least recently used, fingerprint tie-break: the victim never
-        // depends on slot order.
-        auto victim = solves_.begin();
-        for (auto it = solves_.begin(); it != solves_.end(); ++it) {
-            if (it->lastUse < victim->lastUse ||
-                (it->lastUse == victim->lastUse &&
-                 it->shape < victim->shape))
-                victim = it;
-        }
-        solves_.erase(victim);
-        ++stats_.evictions;
-    }
-    solves_.push_back({shape, ++clock_, std::move(record)});
-    ++stats_.stores;
-    return true;
-}
-
-std::vector<solver::SolveRecord>
-PlanMemo::solveRecords() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    std::vector<solver::SolveRecord> out;
-    out.reserve(solves_.size());
-    for (const auto &slot : solves_)
-        out.push_back(slot.record);
-    return out;
-}
-
-std::optional<solver::SolveResult>
-PlanMemo::findSolve(const solver::CpModel &model,
-                    const std::vector<std::int64_t> &hint,
-                    const solver::SolverParams &params)
-{
-    const std::uint64_t shape = model.shapeFingerprint();
-    std::lock_guard<std::mutex> lock(mu_);
-    for (auto &slot : solves_) {
-        if (slot.shape != shape ||
-            !solver::replaysRecord(slot.record, model, hint, params))
-            continue;
-        slot.lastUse = ++clock_;
-        ++stats_.hits;
-        solver::SolveResult r = slot.record.result;
-        r.wallSeconds = 0.0;
-        return r;
-    }
-    ++stats_.misses;
-    return std::nullopt;
-}
-
-PlanMemo &
-PlanMemo::global()
-{
-    static PlanMemo memo;
-    return memo;
-}
-
 OverlapPlan
 OverlapPlan::deserialize(const std::string &text)
 {

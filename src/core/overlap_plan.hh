@@ -11,14 +11,11 @@
 #define FLASHMEM_CORE_OVERLAP_PLAN_HH
 
 #include <cstdint>
-#include <mutex>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "core/weight_slicer.hh"
 #include "graph/graph.hh"
-#include "solver/solver.hh"
 
 namespace flashmem::core {
 
@@ -30,7 +27,7 @@ struct ChunkAssignment
     std::int64_t chunks = 0;
 };
 
-/** Per-weight schedule extracted from the solver. */
+/** Per-weight schedule extracted from the planner. */
 struct WeightSchedule
 {
     graph::WeightId weight = -1;
@@ -97,106 +94,20 @@ class OverlapPlan
 };
 
 /**
- * Memo of finished window solves (solve records).
- *
- * Repeated planning calls — replans at another budget, capacity
- * sweeps, multi-model workloads, recompiles of the same model —
- * rebuild window models that differ from an earlier round only in row
- * bounds, or not at all. A round whose solve a kept record would
- * reproduce bit for bit (solver::replaysRecord: same parameters, hint,
- * domains, rows up to bounds the recorded search never reached)
- * takes the recorded result instead of searching. A replay is exact,
- * so plans are a function of the planner's inputs only: a memo changes
- * how fast a plan is found, never which plan.
- *
- * Bounded (kSolveRecords, LRU) and memory only. The global() instance
- * is shared process-wide and internally synchronized (findSolve()
- * hands back a copy, never a pointer into the memo).
+ * Inert remnant of the retired window-solve memo. The planner searches
+ * nothing and keeps no state between calls, so there is nothing to
+ * memoize; OpgParams::memo is ignored and stats() stays zero. It stays
+ * only for callers that still read the old memo counters.
  */
 class PlanMemo
 {
   public:
-    PlanMemo() = default;
-    PlanMemo(const PlanMemo &) = delete;
-    PlanMemo &operator=(const PlanMemo &) = delete;
-
-    /** Drop every solve record and zero the stats. */
-    void clear();
-
-    /**
-     * Solve records kept at most. Enough for every window round of a
-     * model-zoo compile pass plus its replans; a window model is at
-     * most ~1 MB, so the bound also caps the memory they take.
-     */
-    static constexpr std::size_t kSolveRecords = 256;
-
-    /**
-     * Keep @p record for findSolve(), evicting the least recently
-     * used record (fingerprint tie-break) when full. Records that
-     * stopped on the wall clock are refused: they replay nothing.
-     * @return whether the record was kept.
-     */
-    bool storeSolve(solver::SolveRecord record);
-
-    /**
-     * The result of a kept record that solving @p model from @p hint
-     * under @p params would reproduce bit for bit
-     * (solver::replaysRecord), with wallSeconds zeroed; nullopt when
-     * no record qualifies. Candidates are found by shape fingerprint
-     * and always verified exactly.
-     */
-    std::optional<solver::SolveResult> findSolve(
-        const solver::CpModel &model,
-        const std::vector<std::int64_t> &hint,
-        const solver::SolverParams &params);
-
-    std::size_t
-    solveRecordCount() const
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        return solves_.size();
-    }
-
-    /** Copies of the kept records, oldest store first (for triage
-     * and tests: they are real window models with their solves). */
-    std::vector<solver::SolveRecord> solveRecords() const;
-
-    /**
-     * Counters since construction (or clear()): a hit is a findSolve()
-     * that replayed a record, a miss one that found none (the round
-     * searched); stores and evictions count kept and dropped records.
-     */
     struct Stats
     {
         std::uint64_t hits = 0;
         std::uint64_t misses = 0;
-        std::uint64_t stores = 0;
-        std::uint64_t evictions = 0;
     };
-    Stats
-    stats() const
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        return stats_;
-    }
-
-    /** Process-wide memo shared by all planners. */
-    static PlanMemo &global();
-
-  private:
-    struct SolveSlot
-    {
-        std::uint64_t shape = 0; ///< CpModel::shapeFingerprint()
-        std::uint64_t lastUse = 0;
-        solver::SolveRecord record;
-    };
-
-    mutable std::mutex mu_;
-    Stats stats_;
-    /** Recency clock for the LRU. */
-    std::uint64_t clock_ = 0;
-    /** Solve records in store order. */
-    std::vector<SolveSlot> solves_;
+    Stats stats() const { return {}; }
 };
 
 } // namespace flashmem::core

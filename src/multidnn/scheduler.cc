@@ -7,14 +7,12 @@
 
 namespace flashmem::multidnn {
 
-static_assert(static_cast<int>(solver::StopReason::Exhausted) == 0 &&
-                  static_cast<int>(solver::StopReason::DecisionLimit) ==
-                      1 &&
-                  static_cast<int>(solver::StopReason::TimeLimit) == 2,
-              "obs::stopReasonCodeName mirrors these values");
-/** solver_window stop code of a window the min-cost flow settled
- * (obs::stopReasonCodeName renders it as "flow"). */
-constexpr std::int32_t kFlowStopCode = 3;
+/** @name solver_window stop codes (obs::windowStopCodeName): how a
+ * window's final round was settled. @{ */
+constexpr std::int32_t kEmptyStopCode = 0;  ///< no weights to place
+constexpr std::int32_t kFlowStopCode = 1;   ///< min-cost flow met C2
+constexpr std::int32_t kGreedyStopCode = 2; ///< C2 bound: greedy start
+/** @} */
 
 namespace {
 
@@ -284,13 +282,10 @@ EventScheduler::compiledFor(models::ModelId model, Bytes budget,
         return it->second;
     }
 
-    // On-device re-plan: shrunken/grown residual budget; the planner
-    // replays the PlanMemo solve records the new budget cannot reach.
+    // On-device re-plan at the shrunken/grown residual budget.
     const auto &base = compiledFor(model, base_budget, out);
     auto replanned = fm_.replan(base, budget);
     ++out.replans;
-    out.replanMemoHits +=
-        static_cast<std::uint64_t>(replanned.stats.reusedRounds);
     out.replanSeconds += replanned.stats.processNodesSeconds +
                          replanned.stats.stageSeconds +
                          replanned.stats.solveSeconds +
@@ -378,23 +373,19 @@ EventScheduler::run(const std::vector<ModelRequest> &queue,
                 cfg_.trace->replan(
                     now, static_cast<std::int32_t>(picked.model),
                     static_cast<std::int64_t>(budget),
-                    st.reusedRounds,
-                    st.windows);
+                    st.greedyWindows, st.windows);
                 for (const auto &w : st.windowSummaries)
                     cfg_.trace->solverWindow(
                         now, static_cast<std::uint64_t>(w.window),
                         static_cast<std::int32_t>(picked.model),
-                        static_cast<std::int64_t>(w.conflicts),
-                        static_cast<std::int64_t>(w.restarts),
-                        static_cast<std::int64_t>(w.propagations),
-                        !w.empty && !w.usedGreedy &&
-                                w.status ==
-                                    solver::SolveStatus::Optimal
+                        w.objective, w.flowBound, w.hintObjective,
+                        w.flow && w.status ==
+                                      solver::SolveStatus::Optimal
                             ? 1
                             : 0,
-                        w.flow ? kFlowStopCode
-                               : static_cast<std::int32_t>(w.stopReason),
-                        w.reusedRounds);
+                        w.empty  ? kEmptyStopCode
+                        : w.flow ? kFlowStopCode
+                                 : kGreedyStopCode);
             }
             // Every run takes its times from the solo profile of its
             // (model, budget), placed by the cluster's resource model

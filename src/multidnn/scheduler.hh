@@ -20,9 +20,7 @@
  * shared capacity budget, and when a model's share shifts — because
  * other models were admitted to or evicted from the ready set — the
  * model is re-planned at its new budget via FlashMem::replan(),
- * which replays the kept window solves the new budget cannot reach
- * (PlanMemo), so re-plans are cheap and bit-deterministic for any
- * planner thread count.
+ * which is cheap and bit-deterministic for any planner thread count.
  */
 
 #ifndef FLASHMEM_MULTIDNN_SCHEDULER_HH
@@ -132,8 +130,7 @@ struct ScheduleOutcome
 
     /** @name On-device re-planning counters (memory-aware policies). @{ */
     int replans = 0;                  ///< FlashMem::replan invocations
-    /** Replan rounds replayed from PlanMemo solve records
-     * (PlanStats::reusedRounds summed over replans). */
+    /** Inert, always 0: the planner keeps no memo to replay. */
     std::uint64_t replanMemoHits = 0;
     double replanSeconds = 0.0;       ///< wall time spent re-planning
     /** @} */

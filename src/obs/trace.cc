@@ -116,13 +116,12 @@ deviceHealthCodeName(std::int64_t code)
 }
 
 const char *
-stopReasonCodeName(std::int64_t code)
+windowStopCodeName(std::int64_t code)
 {
     switch (code) {
-      case 0: return "exhausted";
-      case 1: return "decision_limit";
-      case 2: return "time_limit";
-      case 3: return "flow";
+      case 0: return "empty";
+      case 1: return "flow";
+      case 2: return "greedy";
     }
     return "?";
 }
@@ -225,7 +224,7 @@ TraceRecorder::writeText(std::ostream &os, Stream stream) const
           case EventKind::Replan:
             std::snprintf(buf, sizeof(buf),
                           "[t=%lld] replan model=%s budget=%lld "
-                          "reused=%lld windows=%lld",
+                          "greedy=%lld windows=%lld",
                           static_cast<long long>(e.time),
                           modelName(e.model),
                           static_cast<long long>(e.a),
@@ -235,9 +234,8 @@ TraceRecorder::writeText(std::ostream &os, Stream stream) const
           case EventKind::SolverWindow:
             std::snprintf(buf, sizeof(buf),
                           "[t=%lld] solver_window window=%llu "
-                          "model=%s conflicts=%lld restarts=%lld "
-                          "propagations=%lld proven_optimal=%lld "
-                          "stop=%s reused=%d",
+                          "model=%s objective=%lld bound=%lld "
+                          "greedy=%lld proven_optimal=%lld stop=%s",
                           static_cast<long long>(e.time),
                           static_cast<unsigned long long>(e.id),
                           modelName(e.model),
@@ -245,7 +243,7 @@ TraceRecorder::writeText(std::ostream &os, Stream stream) const
                           static_cast<long long>(e.b),
                           static_cast<long long>(e.c),
                           static_cast<long long>(e.flag),
-                          stopReasonCodeName(e.runId), e.device);
+                          windowStopCodeName(e.runId));
             break;
         }
         os << buf << '\n';
@@ -272,7 +270,6 @@ TraceRecorder::writeChromeJson(std::ostream &os) const
     for (const TraceEvent &e : events_) {
         const bool planner_event = e.kind == EventKind::Replan ||
                                    e.kind == EventKind::SolverWindow;
-        // SolverWindow's device slot holds its reused-round count.
         if (!planner_event)
             max_device = std::max(max_device,
                                   static_cast<std::int32_t>(e.device));
@@ -418,21 +415,22 @@ TraceRecorder::writeChromeJson(std::ostream &os) const
             break;
           case EventKind::Replan:
             std::snprintf(name, sizeof(name),
-                          "replan %s (reused=%lld)",
+                          "replan %s (greedy=%lld)",
                           modelName(e.model),
                           static_cast<long long>(e.b));
             instant(998, e.time, name);
             break;
           case EventKind::SolverWindow:
             std::snprintf(name, sizeof(name),
-                          "window %llu (conflicts=%lld%s)",
+                          "window %llu (objective=%lld%s)",
                           static_cast<unsigned long long>(e.id),
                           static_cast<long long>(e.a),
                           e.flag != 0 ? ", optimal" : "");
             std::snprintf(args, sizeof(args),
                           ",\"args\":{\"stop\":\"%s\","
-                          "\"reused\":%d}",
-                          stopReasonCodeName(e.runId), e.device);
+                          "\"bound\":%lld}",
+                          windowStopCodeName(e.runId),
+                          static_cast<long long>(e.b));
             instant(998, e.time, name, args);
             break;
         }

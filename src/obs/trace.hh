@@ -60,7 +60,7 @@ enum class EventKind : std::int8_t
     FaultInjected = 6,      ///< FaultPlan event delivered
     DeviceHealthChange = 7, ///< crash / watchdog-down / rejoin
     Replan = 8,             ///< planner produced a budget-replanned plan
-    SolverWindow = 9,       ///< per-window solver summary
+    SolverWindow = 9,       ///< per-window planner summary
 };
 
 /** Lowercase snake_case name of @p kind (the text-export tag). */
@@ -68,13 +68,13 @@ const char *eventKindName(EventKind kind);
 
 /** @name Payload-code names.
  * The codes mirror multidnn enums (pinned by static_asserts in
- * event_loop.hh) and solver::StopReason (pinned in scheduler.cc);
- * unknown codes render as "?". @{ */
+ * event_loop.hh); window stop codes are defined in scheduler.cc.
+ * Unknown codes render as "?". @{ */
 const char *admissionVerdictCodeName(std::int64_t code);
 const char *dropReasonCodeName(std::int64_t code);
 const char *faultKindCodeName(std::int64_t code);
 const char *deviceHealthCodeName(std::int64_t code);
-const char *stopReasonCodeName(std::int64_t code);
+const char *windowStopCodeName(std::int64_t code);
 /** @} */
 
 /**
@@ -96,9 +96,8 @@ struct TraceEvent
     std::int64_t a = 0, b = 0, c = 0;
     std::uint32_t id = 0;     ///< request seq / fault idx / window idx
     std::int32_t runId = -1;  ///< dispatch run id, -1 n/a;
-                              ///< SolverWindow: stop reason code
-    std::int16_t device = -1; ///< device id, -1 when n/a;
-                              ///< SolverWindow: reused rounds
+                              ///< SolverWindow: stop code
+    std::int16_t device = -1; ///< device id, -1 when n/a
     std::int16_t model = -1;  ///< models::ModelId as int, -1 when n/a
     EventKind kind = EventKind::RequestArrival;
     std::int8_t flag = 0;     ///< SolverWindow: proven_optimal
@@ -226,28 +225,27 @@ class TraceRecorder
 
     void
     replan(SimTime t, std::int32_t model, std::int64_t budget,
-           std::int64_t reused_rounds, std::int64_t windows)
+           std::int64_t greedy_windows, std::int64_t windows)
     {
         TraceEvent e =
             makeEvent(t, EventKind::Replan, 0, -1, -1, model);
         e.a = budget;
-        e.b = reused_rounds;
+        e.b = greedy_windows;
         e.c = windows;
         events_.push_back(e);
     }
 
     void
     solverWindow(SimTime t, std::uint64_t window, std::int32_t model,
-                 std::int64_t conflicts, std::int64_t restarts,
-                 std::int64_t propagations,
-                 std::int64_t proven_optimal, std::int32_t stop_reason,
-                 std::int32_t reused_rounds)
+                 std::int64_t objective, std::int64_t flow_bound,
+                 std::int64_t greedy_objective,
+                 std::int64_t proven_optimal, std::int32_t stop)
     {
         TraceEvent e = makeEvent(t, EventKind::SolverWindow, window,
-                                 stop_reason, reused_rounds, model);
-        e.a = conflicts;
-        e.b = restarts;
-        e.c = propagations;
+                                 stop, -1, model);
+        e.a = objective;
+        e.b = flow_bound;
+        e.c = greedy_objective;
         e.flag = proven_optimal != 0;
         events_.push_back(e);
     }

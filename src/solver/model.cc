@@ -179,4 +179,20 @@ CpModel::shapeFingerprint() const
     return f.h;
 }
 
+const char *
+solveStatusName(SolveStatus status)
+{
+    switch (status) {
+      case SolveStatus::Optimal:
+        return "OPTIMAL";
+      case SolveStatus::Feasible:
+        return "FEASIBLE";
+      case SolveStatus::Infeasible:
+        return "INFEASIBLE";
+      case SolveStatus::Unknown:
+        return "UNKNOWN";
+    }
+    return "?";
+}
+
 } // namespace flashmem::solver

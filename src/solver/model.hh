@@ -1,12 +1,16 @@
 /**
  * @file
- * Constraint-programming model builder.
+ * Constraint-programming model builder, and the status a solution
+ * reports.
  *
  * The paper solves Overlap Plan Generation with Google OR-Tools CP-SAT;
  * this is a from-scratch replacement covering the fragment OPG needs:
  * bounded integer variables, two-sided linear constraints, half-reified
  * implications of the form (x >= t) => (y <= b), and a linear
- * minimization objective.
+ * minimization objective. LC-OPG (core/lc_opg.hh) plans every window
+ * with an exact min-cost flow or the greedy warm start and builds no
+ * CP model; CpModel is the input of the standalone CpSolver
+ * (solver/solver.hh) and of the brute-force oracles in the tests.
  */
 
 #ifndef FLASHMEM_SOLVER_MODEL_HH
@@ -18,6 +22,18 @@
 #include <vector>
 
 namespace flashmem::solver {
+
+/**
+ * How good a solution is known to be; names mirror CP-SAT's statuses.
+ * A planned window reports Optimal when its objective meets a
+ * certified lower bound and Feasible otherwise. CpSolver also reports
+ * Infeasible (search exhausted without a solution) and Unknown (a
+ * limit hit without one).
+ */
+enum class SolveStatus { Optimal, Feasible, Infeasible, Unknown };
+
+/** Human-readable status name ("OPTIMAL", "FEASIBLE", ...). */
+const char *solveStatusName(SolveStatus status);
 
 using VarId = int;
 
@@ -117,9 +133,9 @@ class CpModel
      * Structural 64-bit fingerprint (FNV-1a over domains, constraints
      * without their upper bounds, implications, and the objective;
      * names excluded): models that differ only in linear-row hi values
-     * (e.g. one window at two memory budgets) share it. Keys the solve
-     * records a replan may reuse (see solver::replaysRecord); never
-     * trusted without verification.
+     * (e.g. one window at two memory budgets) share it. A cheap key
+     * for solve records (see solver::replaysRecord); never trusted
+     * without verification.
      */
     std::uint64_t shapeFingerprint() const;
 

@@ -921,22 +921,6 @@ struct BaselineState
 } // namespace
 
 const char *
-solveStatusName(SolveStatus status)
-{
-    switch (status) {
-      case SolveStatus::Optimal:
-        return "OPTIMAL";
-      case SolveStatus::Feasible:
-        return "FEASIBLE";
-      case SolveStatus::Infeasible:
-        return "INFEASIBLE";
-      case SolveStatus::Unknown:
-        return "UNKNOWN";
-    }
-    return "?";
-}
-
-const char *
 searchEngineName(SearchEngine engine)
 {
     switch (engine) {

@@ -11,15 +11,20 @@
  *   heap-based first-fail variable selection with activity tie-breaking.
  *
  *   Baseline — the seed DFS that copies full lb/ub vectors per decision
- *   node and re-scans every constraint per propagation pass. Kept for
- *   the before/after comparison in bench_table4_solver_runtime and as a
- *   differential-testing oracle.
+ *   node and re-scans every constraint per propagation pass. Kept as a
+ *   differential-testing oracle for Trail.
  *
  * Search: first-fail variable selection, objective-aware value ordering,
  * incumbent-driven bounding, wall-clock + decision limits. Statuses
  * mirror CP-SAT: Optimal (search exhausted with incumbent), Feasible
  * (limit hit with incumbent), Infeasible (exhausted without incumbent),
  * Unknown (limit hit without incumbent).
+ *
+ * LC-OPG does not call this solver: every window is settled by the
+ * min-cost flow or ships the greedy warm start (core/lc_opg.hh). It
+ * stays a standalone engine over CpModel, with symmetry breaking
+ * (solver/symmetry.hh) and solve reuse (replaysRecord) beside it,
+ * until ROADMAP item 1(c) retires it (solver/README.md).
  */
 
 #ifndef FLASHMEM_SOLVER_SOLVER_HH
@@ -33,12 +38,6 @@
 #include "solver/model.hh"
 
 namespace flashmem::solver {
-
-/** Terminal state of one solve() call. */
-enum class SolveStatus { Optimal, Feasible, Infeasible, Unknown };
-
-/** Human-readable status name ("OPTIMAL", "FEASIBLE", ...). */
-const char *solveStatusName(SolveStatus status);
 
 /**
  * Why solve() stopped searching. Exhausted means the search space was
@@ -75,8 +74,7 @@ struct SolverParams
      * The strategy stays complete: the limit grows without bound, so
      * an exhaustive pass eventually fits inside one restart window —
      * but proving optimality can take more decisions than a single
-     * uninterrupted dive, which is why LC-OPG only switches restarts
-     * on for budget-truncated (FEASIBLE) window solves.
+     * uninterrupted dive.
      */
     std::uint64_t restartConflictBase = 0;
 

@@ -4,8 +4,7 @@
  * its arrival cursor, queueing-delay latency accounting, policy
  * ordering (FIFO / SJF / priority-with-aging / memory-aware
  * admission), and on-device re-planning — including its
- * bit-determinism across planner thread counts and across a warm
- * PlanMemo.
+ * bit-determinism across planner thread counts and repeated calls.
  */
 
 #include <gtest/gtest.h>
@@ -576,14 +575,11 @@ TEST(Replanning, ReplanShrinksInflightBudgetDeterministically)
     // Byte-identical re-plans across planner thread counts: the
     // stage/solve/merge pipeline makes each window solve a pure
     // function of its staged input, so the serialized plan cannot
-    // depend on how many workers solved it — budget-truncated windows
-    // included.
+    // depend on how many workers solved it.
     auto g = models::buildModel(ModelId::ResNet50);
     auto replan_with_threads = [&](int threads) {
-        core::PlanMemo memo;
         FlashMemOptions opt;
         opt.opg.parallel.threads = threads;
-        opt.opg.memo = &memo;
         FlashMem fm(DeviceProfile::onePlus12(), opt);
         auto compiled = fm.compile(g);
         auto replanned = fm.replan(compiled, mib(96));
@@ -600,27 +596,20 @@ TEST(Replanning, ReplanShrinksInflightBudgetDeterministically)
 
 TEST(Replanning, ReplanIsByteIdenticalAcrossWarmMemo)
 {
-    // Re-planning the same budget twice through one memo: the second
-    // pass replays the first's rounds from their solve records and
-    // reproduces the plan byte for byte, on budget-truncated windows
-    // too (GPTN-S at the default decision budget).
+    // Re-planning the same budget twice reproduces the plan byte for
+    // byte: the planner keeps no state between calls, so a repeat
+    // replan ships exactly what the first did, on C2-binding windows
+    // too (GPTN-S at 16 MiB ships greedy starts).
     auto g = models::buildModel(ModelId::GPTNeoS);
-    core::PlanMemo memo;
-    FlashMemOptions opt;
-    opt.opg.memo = &memo;
-    FlashMem fm(DeviceProfile::onePlus12(), opt);
+    FlashMem fm(DeviceProfile::onePlus12());
     auto compiled = fm.compile(g);
 
-    const auto compiled_misses = memo.stats().misses;
     auto cold = fm.replan(compiled, mib(16));
-    ASSERT_EQ(cold.stats.overallStatus, solver::SolveStatus::Feasible);
-    const auto cold_misses = memo.stats().misses;
-    ASSERT_GT(cold_misses, compiled_misses); // the budget forced search
+    ASSERT_GT(cold.stats.greedyWindows, 0); // C2 binds at this budget
     auto warm = fm.replan(compiled, mib(16));
-    EXPECT_EQ(memo.stats().misses, cold_misses); // nothing searched
-    EXPECT_GT(warm.stats.reusedRounds, cold.stats.reusedRounds);
     EXPECT_EQ(cold.plan.serialize(), warm.plan.serialize());
-    EXPECT_EQ(warm.stats.solverDecisions, cold.stats.solverDecisions);
+    EXPECT_EQ(warm.stats.greedyWindows, cold.stats.greedyWindows);
+    EXPECT_EQ(warm.stats.objective, cold.stats.objective);
 }
 
 TEST(Replanning, ReplanChangesThePlanUnderATighterBudget)

@@ -59,20 +59,20 @@ TEST(TraceRecorder, ServingStreamExcludesPlannerEvents)
 {
     TraceRecorder rec;
     rec.replan(0, static_cast<std::int32_t>(ModelId::ViT), mib(256),
-               /*reused_rounds=*/4, 3);
+               /*greedy_windows=*/1, 3);
     rec.solverWindow(0, 0, static_cast<std::int32_t>(ModelId::ViT),
-                     1, 2, 3, 1, /*stop_reason=*/1, /*reused_rounds=*/2);
+                     -7, -9, -5, 1, /*stop=*/1);
     rec.requestShed(0, 7, static_cast<std::int32_t>(ModelId::ViT),
                     /*reason=*/0, /*attempts=*/0);
 
     auto full = rec.text(Stream::Full);
-    EXPECT_NE(full.find("replan model=ViT budget=268435456 reused=4 "
+    EXPECT_NE(full.find("replan model=ViT budget=268435456 greedy=1 "
                         "windows=3\n"),
               std::string::npos)
         << full;
     EXPECT_NE(full.find("solver_window"), std::string::npos);
-    EXPECT_NE(full.find("proven_optimal=1 stop=decision_limit "
-                        "reused=2\n"),
+    EXPECT_NE(full.find("objective=-7 bound=-9 greedy=-5 "
+                        "proven_optimal=1 stop=flow\n"),
               std::string::npos)
         << full;
 
@@ -100,7 +100,7 @@ TEST(TraceRecorder, ChromeJsonHasTracksAndBalancedBraces)
     rec.replan(0, static_cast<std::int32_t>(ModelId::ResNet50),
                mib(256), 0, 2);
     rec.solverWindow(0, 3, static_cast<std::int32_t>(ModelId::ResNet50),
-                     4, 0, 9, 0, /*stop_reason=*/2, /*reused_rounds=*/5);
+                     4, 2, 4, 0, /*stop=*/2);
 
     std::ostringstream os;
     rec.writeChromeJson(os);
@@ -114,16 +114,14 @@ TEST(TraceRecorder, ChromeJsonHasTracksAndBalancedBraces)
     EXPECT_NE(json.find("dev 0 dma"), std::string::npos);
     EXPECT_NE(json.find("\"planner\""), std::string::npos);
     EXPECT_NE(json.find("\"requests\""), std::string::npos);
-    // The window's stop reason and reused-round count ride as
-    // Perfetto args.
-    EXPECT_NE(json.find("\"name\":\"window 3 (conflicts=4)\","
-                        "\"args\":{\"stop\":\"time_limit\","
-                        "\"reused\":5}"),
+    // The window's stop code and flow bound ride as Perfetto args.
+    EXPECT_NE(json.find("\"name\":\"window 3 (objective=4)\","
+                        "\"args\":{\"stop\":\"greedy\","
+                        "\"bound\":2}"),
               std::string::npos)
         << json;
-    // The reused count shares the device slot but opens no track:
-    // only device 0 is laid out.
-    EXPECT_EQ(json.find("dev 5"), std::string::npos) << json;
+    // Planner events open no device track: only device 0 is laid out.
+    EXPECT_EQ(json.find("dev 1"), std::string::npos) << json;
     // Async request lane: begin and end with a shared id.
     EXPECT_NE(json.find("\"ph\":\"b\""), std::string::npos);
     EXPECT_NE(json.find("\"ph\":\"e\""), std::string::npos);
@@ -203,16 +201,13 @@ TEST(Logging, RateLimitedWarnCountsAndSuppresses)
 /** The fig6 determinism workload: memory-aware re-planning under a
  * tight shared budget, so the planner-side events (replan,
  * solver_window) are exercised. The budget binds C2 in some of
- * GPTN-1.3B's replan windows, so those search; the flow settles the
- * rest. Two scheduler sessions share one memo, so the second
- * session's replans replay the first's searched rounds. */
+ * GPTN-1.3B's replan windows, so those ship the greedy start; the flow
+ * settles the rest. Two scheduler runs go back to back. */
 multidnn::ScheduleOutcome
 runTracedSchedulerArm(int planner_threads, TraceRecorder &rec)
 {
-    core::PlanMemo memo;
     core::FlashMemOptions opt;
     opt.opg.parallel.threads = planner_threads;
-    opt.opg.memo = &memo;
     core::FlashMem fm(gpusim::DeviceProfile::onePlus12(), opt);
     multidnn::SchedulerConfig cfg;
     cfg.capacityBudget = mib(150);
@@ -244,13 +239,12 @@ TEST(TraceDeterminism, SchedulerTraceIdenticalAcrossPlannerThreads)
     ASSERT_NE(text1.find("solver_window"), std::string::npos);
     ASSERT_NE(text1.find(" stop="), std::string::npos);
     ASSERT_NE(text1.find("request_dispatch"), std::string::npos);
-    // Flow-settled windows say so; C2-binding ones ran the CP path.
-    EXPECT_NE(text1.find(" stop=flow "), std::string::npos) << text1;
-    EXPECT_NE(text1.find(" stop=decision_limit "), std::string::npos)
-        << "the CP path ran\n"
+    // Flow-settled windows say so; C2-binding ones ship the greedy
+    // start.
+    EXPECT_NE(text1.find(" stop=flow\n"), std::string::npos) << text1;
+    EXPECT_NE(text1.find(" stop=greedy\n"), std::string::npos)
+        << "C2 bound\n"
         << text1;
-    // Some re-plan rounds replay a kept solve record, and say so.
-    EXPECT_NE(text1.find(" reused=1\n"), std::string::npos) << text1;
 
     // Byte-identical export for any planner thread count.
     EXPECT_EQ(text1, rec4.text());

@@ -1,9 +1,12 @@
 /**
  * @file
- * Tests for the CP-SAT-style solver: propagation, implications,
- * optimality on knapsack-like problems, status reporting, limits, the
- * trail/watch-list machinery behind the fast engine, and randomized
- * equivalence checks against brute-force enumeration (both engines).
+ * Tests for the CP model container and the standalone CP-SAT-style
+ * solver: propagation, implications, optimality on knapsack-like
+ * problems, status reporting, limits, the trail/watch-list machinery
+ * behind the fast engine, solve reuse, and randomized equivalence
+ * checks against brute-force enumeration (both engines). The same
+ * enumeration checks the planner's exact window solver, the min-cost
+ * flow, on random window cores stated as CpModels.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +18,7 @@
 #include <vector>
 
 #include "common/rng.hh"
+#include "core/window_flow.hh"
 #include "solver/model.hh"
 #include "solver/solver.hh"
 #include "solver/trail.hh"
@@ -231,15 +235,12 @@ TEST(CpSolver, TimeLimitRespected)
                 r.status == SolveStatus::Unknown);
 }
 
-// Randomized equivalence vs brute-force enumeration: statuses agree and
-// objectives match on every seed.
-class SolverVsBruteForce : public ::testing::TestWithParam<int>
+// CpSolver vs brute-force enumeration on random models: statuses agree
+// and objectives match on every seed, for both engines.
+void
+expectCpSolverMatchesBruteForce(int seed)
 {
-};
-
-TEST_P(SolverVsBruteForce, AgreesOnRandomInstances)
-{
-    Rng rng(1000 + GetParam());
+    Rng rng(1000 + seed);
     const int nvars = static_cast<int>(rng.uniformInt(2, 5));
     const std::int64_t dom = rng.uniformInt(2, 4);
 
@@ -316,17 +317,117 @@ TEST_P(SolverVsBruteForce, AgreesOnRandomInstances)
         auto r = CpSolver(params).solve(m);
         if (bf_feasible) {
             ASSERT_EQ(r.status, SolveStatus::Optimal)
-                << "seed " << GetParam() << " engine "
+                << "seed " << seed << " engine "
                 << searchEngineName(engine);
             EXPECT_EQ(r.objective, bf_best)
-                << "seed " << GetParam() << " engine "
+                << "seed " << seed << " engine "
                 << searchEngineName(engine);
         } else {
             EXPECT_EQ(r.status, SolveStatus::Infeasible)
-                << "seed " << GetParam() << " engine "
+                << "seed " << seed << " engine "
                 << searchEngineName(engine);
         }
     }
+}
+
+TEST(CpSolver, AgreesWithBruteForceOnRandomModels)
+{
+    for (int seed = 0; seed < 60; ++seed)
+        expectCpSolverMatchesBruteForce(seed);
+}
+
+// Randomized equivalence vs brute-force enumeration: a random window
+// transportation core (C0, C3 and the x caps), stated as a CpModel and
+// enumerated assignment by assignment through CpModel::satisfiedBy,
+// has the minimum the min-cost flow reports, and the flow's own
+// placement is one of the model's solutions.
+class SolverVsBruteForce : public ::testing::TestWithParam<int>
+{
+};
+
+TEST_P(SolverVsBruteForce, AgreesOnRandomInstances)
+{
+    Rng rng(1000 + GetParam());
+    core::WindowFlowProblem p;
+    const auto layers = rng.uniformInt(1, 2);
+    for (std::int64_t l = 0; l < layers; ++l)
+        p.layerCap.push_back(rng.uniformInt(0, 3));
+    const auto weights = rng.uniformInt(1, 3);
+    for (std::int64_t k = 0; k < weights; ++k) {
+        p.supply.push_back(rng.uniformInt(1, 3));
+        p.preloadCost.push_back(rng.uniformInt(10, 60));
+        p.arcs.emplace_back();
+        for (std::int64_t l = 0; l < layers; ++l) {
+            if (rng.uniformInt(0, 3) == 0)
+                continue;
+            p.arcs.back().push_back({static_cast<std::size_t>(l),
+                                     rng.uniformInt(0, p.supply.back()),
+                                     rng.uniformInt(0, 50)});
+        }
+    }
+
+    // The core as a CpModel: y_k preloaded and x_kj streamed chunks.
+    CpModel m;
+    std::vector<VarId> y;
+    std::vector<std::vector<VarId>> x(p.supply.size());
+    std::vector<std::vector<LinearTerm>> per_layer(p.layerCap.size());
+    std::vector<LinearTerm> objective;
+    for (std::size_t k = 0; k < p.supply.size(); ++k) {
+        y.push_back(m.newIntVar(0, p.supply[k]));
+        objective.push_back({y.back(), p.preloadCost[k]});
+        std::vector<LinearTerm> coverage{{y.back(), 1}};
+        for (const auto &a : p.arcs[k]) {
+            x[k].push_back(m.newIntVar(0, a.cap));
+            coverage.push_back({x[k].back(), 1});
+            per_layer[a.layer].push_back({x[k].back(), 1});
+            objective.push_back({x[k].back(), a.cost});
+        }
+        m.addEquality(coverage, p.supply[k]); // C0
+    }
+    for (std::size_t l = 0; l < per_layer.size(); ++l) {
+        if (!per_layer[l].empty())
+            m.addLessOrEqual(per_layer[l], p.layerCap[l]); // C3
+    }
+    m.minimize(objective);
+
+    auto cost = [&](const std::vector<std::int64_t> &values) {
+        std::int64_t c = 0;
+        for (const auto &t : m.objective())
+            c += t.coef * values[t.var];
+        return c;
+    };
+    std::vector<std::int64_t> values(m.varCount(), 0);
+    bool found = false;
+    std::int64_t best = 0;
+    while (true) {
+        if (m.satisfiedBy(values) && (!found || cost(values) < best)) {
+            found = true;
+            best = cost(values);
+        }
+        // Next assignment, mixed radix over the variable domains.
+        std::size_t v = 0;
+        for (; v < values.size(); ++v) {
+            if (values[v] < m.upperBound(static_cast<VarId>(v))) {
+                ++values[v];
+                break;
+            }
+            values[v] = m.lowerBound(static_cast<VarId>(v));
+        }
+        if (v == values.size())
+            break;
+    }
+    ASSERT_TRUE(found) << "seed " << GetParam(); // all-preload fits
+
+    const auto flow = core::solveWindowFlow(p);
+    EXPECT_EQ(flow.cost, best) << "seed " << GetParam();
+    std::vector<std::int64_t> placed(m.varCount(), 0);
+    for (std::size_t k = 0; k < p.supply.size(); ++k) {
+        placed[y[k]] = flow.preload[k];
+        for (std::size_t j = 0; j < x[k].size(); ++j)
+            placed[x[k][j]] = flow.flow[k][j];
+    }
+    EXPECT_TRUE(m.satisfiedBy(placed)) << "seed " << GetParam();
+    EXPECT_EQ(cost(placed), flow.cost) << "seed " << GetParam();
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomInstances, SolverVsBruteForce,

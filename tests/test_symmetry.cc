@@ -1,8 +1,8 @@
 /**
  * @file
- * Tests for symmetry detection and breaking (solver/symmetry.hh) and
- * its integration into LC-OPG planning: lex rows keep the optimum,
- * cut conflicts, and leave transformer plans byte-identical.
+ * Tests for symmetry detection and breaking (solver/symmetry.hh) on
+ * window-shaped CP models: interchangeable blocks are grouped exactly,
+ * and lex rows keep the optimum while cutting conflicts.
  */
 
 #include <gtest/gtest.h>
@@ -12,9 +12,6 @@
 #include <vector>
 
 #include "common/rng.hh"
-#include "core/lc_opg.hh"
-#include "graph/builder.hh"
-#include "models/model_zoo.hh"
 #include "solver/model.hh"
 #include "solver/solver.hh"
 #include "solver/symmetry.hh"
@@ -350,107 +347,3 @@ TEST(SymmetryTest, RowLocalVerdictsMatchWholeModelOracleOnRandomModels)
 
 } // namespace
 } // namespace flashmem::solver
-
-// ------------------------------------------------ LC-OPG integration
-
-namespace flashmem::core {
-namespace {
-
-using gpusim::DeviceProfile;
-using gpusim::KernelModel;
-
-graph::Graph
-smallGraph(int blocks, std::int64_t d = 256,
-           std::int64_t tokens = 64)
-{
-    graph::GraphBuilder b("symmetry-toy", Precision::FP16);
-    auto x = b.input({tokens, d});
-    for (int i = 0; i < blocks; ++i) {
-        std::string p = "blk" + std::to_string(i);
-        auto n = b.layerNorm(x, p + ".ln");
-        auto h = b.matmul(n, 4 * d, p + ".fc1");
-        h = b.activation(h, graph::OpKind::GeLU, p + ".act");
-        h = b.matmul(h, d, p + ".fc2");
-        x = b.add(x, h, p + ".res");
-    }
-    return b.build();
-}
-
-TEST(SymmetryTest, LcOpgSymmetryBreakingPreservesPlans)
-{
-    // On transformer graphs the symmetry pass fires on groups of
-    // equal-size weights whose preload is pinned by C0 (empty
-    // candidate sets), so the lex rows order already-fixed variables:
-    // detection must report rows, and the plan bytes must not move.
-    // At a 2 MiB budget C2 binds in the graph's one window, so the
-    // round reaches the CP path, where the rows are added.
-    auto g = smallGraph(2);
-    KernelModel km(DeviceProfile::onePlus12());
-    profiler::AnalyticCapacityProvider cap(km);
-
-    PlanMemo::global().clear();
-    OpgParams on; // symmetryBreaking defaults to true
-    on.mPeak = mib(2);
-    LcOpgPlanner p1(g, cap, km, on);
-    PlanStats s_on;
-    auto plan_on = p1.plan(&s_on).serialize();
-    EXPECT_GT(s_on.solverDecisions, 0u) << "the CP path ran";
-
-    PlanMemo::global().clear();
-    OpgParams off = on;
-    off.symmetryBreaking = false;
-    LcOpgPlanner p2(g, cap, km, off);
-    PlanStats s_off;
-    auto plan_off = p2.plan(&s_off).serialize();
-    PlanMemo::global().clear();
-
-    EXPECT_GT(s_on.symmetryRows, 0);
-    EXPECT_EQ(s_off.symmetryRows, 0);
-    EXPECT_EQ(plan_on, plan_off);
-}
-
-TEST(SymmetryTest, RowLocalVerdictsMatchWholeModelOracleOnZooWindows)
-{
-    // Real window models, kept as solve records by a plan without
-    // symmetry rows. Each weight's block is [y, x..., z]: y is named
-    // "<weight>.preload", the x are unnamed, z is "<weight>.z". At
-    // 2.5% of the default budget C2 binds in some windows of both
-    // models, so their rounds reach the CP path and leave records.
-    KernelModel km(DeviceProfile::onePlus12());
-    profiler::AnalyticCapacityProvider cap(km);
-    int windows = 0, grouped = 0;
-    for (auto id : {models::ModelId::SAM2, models::ModelId::SDUNet}) {
-        PlanMemo memo;
-        OpgParams params;
-        params.memo = &memo;
-        params.mPeak = OpgParams{}.mPeak / 40;
-        params.symmetryBreaking = false;
-        LcOpgPlanner(models::buildModel(id), cap, km, params).plan();
-        for (const auto &rec : memo.solveRecords()) {
-            const auto &m = rec.model;
-            std::vector<solver::VarBlock> blocks;
-            auto endsWith = [](const std::string &s, const char *tail) {
-                const std::string t(tail);
-                return s.size() >= t.size() &&
-                       s.compare(s.size() - t.size(), t.size(), t) == 0;
-            };
-            for (solver::VarId v = 0;
-                 v < static_cast<solver::VarId>(m.varCount()); ++v) {
-                if (endsWith(m.varName(v), ".preload"))
-                    blocks.emplace_back();
-                blocks.back().vars.push_back(v);
-            }
-            SCOPED_TRACE(models::modelSpec(id).abbr + " window " +
-                         std::to_string(windows));
-            solver::expectMatchesOracle(m, blocks);
-            grouped += !solver::groupInterchangeableBlocks(m, blocks)
-                            .empty();
-            ++windows;
-        }
-    }
-    EXPECT_GT(windows, 0);
-    EXPECT_GT(grouped, 0);
-}
-
-} // namespace
-} // namespace flashmem::core

@@ -1,9 +1,10 @@
 /**
  * @file
- * Tests for flow-first window planning: the successive-shortest-path
- * min-cost flow against brute force, the certified lower bound against
- * brute-forced CP window optima, and the planner's flow rounds on every
- * zoo compile and replan-ladder round.
+ * Tests for window planning: the successive-shortest-path min-cost
+ * flow against brute force, the certified lower bound against
+ * brute-forced CP window optima, and the planner's rounds on every zoo
+ * compile and replan-ladder plan: flow rounds, and the greedy start
+ * that C2-binding rounds ship.
  */
 
 #include <gtest/gtest.h>
@@ -283,7 +284,10 @@ TEST(WindowFlow, CertifiedBoundNeverExceedsCpOptimum)
 
 // ------------------------------------------- the planner on zoo rounds
 
-/** One zoo model's compile and its 50/25/10% replan ladder. */
+/** Replan ladder, as shares of the compile's budget. */
+constexpr double kLadder[] = {0.5, 0.25, 0.1, 0.05};
+
+/** One zoo model's compile and its 50/25/10/5% replan ladder. */
 struct ZooRounds
 {
     models::ModelId id{};
@@ -291,26 +295,39 @@ struct ZooRounds
     std::vector<SimTime> latency;     ///< per plan, solo run
 };
 
+/** Every zoo compile and ladder plan at @p threads planner threads. */
+std::vector<CompiledModel>
+zooPlans(int threads)
+{
+    FlashMemOptions opt;
+    opt.opg.parallel.threads = threads;
+    FlashMem fm(gpusim::DeviceProfile::onePlus12(), opt);
+    std::vector<CompiledModel> plans;
+    for (const auto &spec : models::modelZoo()) {
+        const auto compiled = fm.compile(models::buildModel(spec.id));
+        const auto budget = static_cast<double>(compiled.planBudget);
+        plans.push_back(compiled);
+        for (double share : kLadder)
+            plans.push_back(
+                fm.replan(compiled, static_cast<Bytes>(share * budget)));
+    }
+    return plans;
+}
+
 const std::vector<ZooRounds> &
 zooRounds()
 {
     static const std::vector<ZooRounds> rounds = [] {
         std::vector<ZooRounds> out;
-        PlanMemo memo;
-        FlashMemOptions opt;
-        opt.opg.memo = &memo;
         const auto dev = gpusim::DeviceProfile::onePlus12();
-        FlashMem fm(dev, opt);
+        FlashMem fm(dev);
+        auto plans = zooPlans(4);
+        auto next = plans.begin();
         for (const auto &spec : models::modelZoo()) {
             ZooRounds z;
             z.id = spec.id;
-            z.plans.push_back(fm.compile(models::buildModel(spec.id)));
-            for (double share : {0.5, 0.25, 0.1})
-                z.plans.push_back(fm.replan(
-                    z.plans.front(),
-                    static_cast<Bytes>(share * static_cast<double>(
-                                                   z.plans.front()
-                                                       .planBudget))));
+            for (std::size_t r = 0; r <= std::size(kLadder); ++r)
+                z.plans.push_back(std::move(*next++));
             for (const auto &cm : z.plans) {
                 gpusim::GpuSimulator sim(dev);
                 z.latency.push_back(
@@ -330,7 +347,7 @@ TEST(FlowFirst, FlowNeverLosesToGreedyOnZooRounds)
     // (the greedy is a feasible flow), the flow bound sits at or below
     // the shipped objective, and a flow-settled window is Optimal
     // exactly when its objective meets the bound.
-    int flow = 0, searched = 0, certified = 0;
+    int flow = 0, greedy = 0, certified = 0;
     for (const auto &z : zooRounds()) {
         for (std::size_t r = 0; r < z.plans.size(); ++r) {
             const auto &st = z.plans[r].stats;
@@ -339,16 +356,14 @@ TEST(FlowFirst, FlowNeverLosesToGreedyOnZooRounds)
                              std::to_string(r) + " window " +
                              std::to_string(w.window));
                 EXPECT_LE(w.flowCost, w.hintFlowCost);
-                if (!w.usedGreedy) {
-                    EXPECT_LE(w.flowBound, w.objective);
-                }
+                EXPECT_LE(w.flowBound, w.objective);
                 if (w.flow) {
                     ++flow;
                     EXPECT_EQ(w.status == solver::SolveStatus::Optimal,
                               w.objective == w.flowBound);
                     certified += w.objective == w.flowBound;
                 }
-                searched += w.decisions > 0;
+                greedy += w.usedGreedy;
             }
             EXPECT_EQ(st.flowWindows,
                       std::count_if(st.windowSummaries.begin(),
@@ -358,14 +373,64 @@ TEST(FlowFirst, FlowNeverLosesToGreedyOnZooRounds)
     }
     EXPECT_GT(flow, 0);
     EXPECT_GT(certified, 0);
-    EXPECT_GT(searched, 0) << "the CP path ran on C2-binding rounds";
+    EXPECT_GT(greedy, 0) << "C2 bound in some rounds";
+}
+
+TEST(GreedyStart, C2BindingWindowsShipTheGreedyStart)
+{
+    // On every zoo compile and 50/25/10/5% ladder plan, a window the
+    // flow does not settle ships the staged greedy warm start, after
+    // any tier-2 pins: no search runs, so the shipped (pre-clamp)
+    // objective is the greedy start's. Plans and every window summary
+    // are identical at 1, 2 and 4 planner threads.
+    const auto ref = zooPlans(1);
+    int greedy = 0, pinned = 0;
+    for (const auto &cm : ref) {
+        for (const auto &w : cm.stats.windowSummaries) {
+            SCOPED_TRACE(cm.fusedGraph.name() + " budget " +
+                         std::to_string(cm.planBudget) + " window " +
+                         std::to_string(w.window));
+            EXPECT_NE(w.flow, w.usedGreedy || w.empty);
+            if (!w.usedGreedy)
+                continue;
+            ++greedy;
+            pinned += w.forcedPreloads > 0;
+            EXPECT_EQ(w.status, solver::SolveStatus::Feasible);
+            EXPECT_EQ(w.objective, w.hintObjective);
+        }
+    }
+    EXPECT_GT(greedy, 0) << "C2 bound in some rounds";
+    EXPECT_GT(pinned, 0) << "tier 2 pinned in a C2-binding window";
+
+    for (int threads : {2, 4}) {
+        const auto plans = zooPlans(threads);
+        ASSERT_EQ(plans.size(), ref.size());
+        for (std::size_t i = 0; i < plans.size(); ++i) {
+            SCOPED_TRACE(ref[i].fusedGraph.name() + " budget " +
+                         std::to_string(ref[i].planBudget) +
+                         " threads=" + std::to_string(threads));
+            EXPECT_EQ(plans[i].plan.serialize(), ref[i].plan.serialize());
+            const auto &a = ref[i].stats.windowSummaries;
+            const auto &b = plans[i].stats.windowSummaries;
+            ASSERT_EQ(a.size(), b.size());
+            for (std::size_t k = 0; k < a.size(); ++k) {
+                EXPECT_EQ(a[k].flow, b[k].flow);
+                EXPECT_EQ(a[k].usedGreedy, b[k].usedGreedy);
+                EXPECT_EQ(a[k].forcedPreloads, b[k].forcedPreloads);
+                EXPECT_EQ(a[k].objective, b[k].objective);
+                EXPECT_EQ(a[k].flowBound, b[k].flowBound);
+            }
+        }
+    }
 }
 
 TEST(FlowFirst, ZooLatenciesNoWorseThanSearchOnlyPlans)
 {
     // Simulated latency of every zoo compile and 50/25/10% ladder plan,
     // bounded by what the search-only planner (greedy warm start + CP
-    // on every window round) shipped: flow-first made no plan slower.
+    // on every window round) shipped: neither flow-first planning nor
+    // shipping the greedy start on C2-binding rounds made a plan
+    // slower.
     struct Bound
     {
         models::ModelId id;
@@ -396,7 +461,7 @@ TEST(FlowFirst, ZooLatenciesNoWorseThanSearchOnlyPlans)
     ASSERT_EQ(rounds.size(), std::size(bounds));
     for (std::size_t i = 0; i < rounds.size(); ++i) {
         ASSERT_EQ(rounds[i].id, bounds[i].id);
-        for (std::size_t r = 0; r < rounds[i].latency.size(); ++r) {
+        for (std::size_t r = 0; r < std::size(bounds[i].ns); ++r) {
             SCOPED_TRACE(models::modelSpec(rounds[i].id).abbr +
                          " round " + std::to_string(r));
             EXPECT_LE(rounds[i].latency[r], bounds[i].ns[r]);

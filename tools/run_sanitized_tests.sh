@@ -12,10 +12,12 @@
 #   With no argument both address and thread run ('all'), followed by
 #   a focused standalone-UBSan pass over the symmetry tests (the
 #   lex-row leader functions multiply saturating positional weights
-#   into int64 sums, the solver's closest brush with overflow) and the
+#   into int64 sums, the CP solver's closest brush with overflow), the
 #   solve-reuse tests (the replay certificate adds row spans to
-#   recorded sums under overflow checks), the window-flow tests
-#   (integer costs scaled by 1000 and summed over every chunk), the
+#   recorded sums under overflow checks), the greedy-start test (window
+#   objectives of every zoo and ladder plan summed in int64), the
+#   window-flow tests (integer costs scaled by 1000 and summed over
+#   every chunk), the
 #   run-replay tests (shifted timestamps and summed busy times, bytes
 #   and trace points against the executions they replace), and the
 #   event-loop arrival-cursor and admission-floor tests (index sorts
@@ -70,10 +72,10 @@ case "$requested" in
         run_one address
         run_one thread
         # Focused UBSan arm: the symmetry lex rows, the solve-reuse
-        # certificates, the window flow, the run replay, the arrival
-        # cursor and the admission floor, alone, under the standalone
-        # UBSan build.
-        run_one undefined -R 'Symmetry|SolveReuse|ReplanReuse|WindowFlow|FlowFirst|^Replay|ReplayedDrain|AppendShifted|StartTimeInvariant|ArrivalCursor|AdmissionFloor'
+        # certificates, the greedy start, the window flow, the run
+        # replay, the arrival cursor and the admission floor, alone,
+        # under the standalone UBSan build.
+        run_one undefined -R 'Symmetry|SolveReuse|GreedyStart|WindowFlow|FlowFirst|^Replay|ReplayedDrain|AppendShifted|StartTimeInvariant|ArrivalCursor|AdmissionFloor'
         ;;
     *)  echo "usage: $0 [address|thread|undefined]" >&2; exit 2 ;;
 esac
