@@ -42,8 +42,6 @@ struct LinearTerm
 {
     VarId var = -1;
     std::int64_t coef = 1;
-
-    bool operator==(const LinearTerm &) const = default;
 };
 
 /** lo <= sum(terms) <= hi. */
@@ -61,8 +59,6 @@ struct Implication
     std::int64_t xThreshold = 1;
     VarId y = -1;
     std::int64_t yBound = 0;
-
-    bool operator==(const Implication &) const = default;
 };
 
 /** Declarative CP model: variables, constraints, objective. */
@@ -133,9 +129,8 @@ class CpModel
      * Structural 64-bit fingerprint (FNV-1a over domains, constraints
      * without their upper bounds, implications, and the objective;
      * names excluded): models that differ only in linear-row hi values
-     * (e.g. one window at two memory budgets) share it. A cheap key
-     * for solve records (see solver::replaysRecord); never trusted
-     * without verification.
+     * (e.g. one window at two memory budgets) share it. Only its own
+     * test reads it; it retires with CpSolver (ROADMAP item 1(c)).
      */
     std::uint64_t shapeFingerprint() const;
 

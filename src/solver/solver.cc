@@ -13,6 +13,13 @@ namespace {
 
 constexpr std::int64_t kInf = std::numeric_limits<std::int64_t>::max() / 4;
 
+/** Maximum propagation sweeps per node before giving up fixpoint
+ * (Baseline engine only; Trail always reaches fixpoint). */
+constexpr int kMaxPropagationPasses = 16;
+
+/** Multiplicative activity bump applied per conflict (Trail). */
+constexpr double kActivityDecay = 1.05;
+
 /** Floor division robust to negative operands. */
 std::int64_t
 divFloor(std::int64_t a, std::int64_t b)
@@ -96,8 +103,6 @@ struct TrailSearch
         std::int64_t coef = 0;
     };
     std::vector<std::vector<VarCon>> varCons;
-    /** Per-row certificates, updated O(1) per revision. */
-    std::vector<RowCertificate> certs;
 
     // Incumbent.
     bool haveIncumbent = false;
@@ -225,7 +230,6 @@ struct TrailSearch
             }
         }
         dom.trackSums(&conSums);
-        certs.assign(ncons, {});
 
         activity.assign(n, 0.0);
         varDirty.assign(n, 0);
@@ -421,7 +425,7 @@ struct TrailSearch
             bump(imp.x);
             bump(imp.y);
         }
-        activityInc *= params.activityDecay;
+        activityInc *= kActivityDecay;
     }
 
     void
@@ -445,23 +449,17 @@ struct TrailSearch
     reviseLinear(std::int32_t ci)
     {
         const auto &c = model->constraints()[ci];
-        RowCertificate &cert = certs[ci];
         {
             const std::int64_t smin = conSums[2 * ci];
             const std::int64_t smax = conSums[2 * ci + 1];
-            cert.maxSmin = std::max(cert.maxSmin, smin);
-            if (smin > c.hi || smax < c.lo) {
-                cert.tightened = true;
+            if (smin > c.hi || smax < c.lo)
                 return false;
-            }
             // Entailed: no term can be tightened (coef*v <= c.hi -
             // others_min is implied by smax <= c.hi, and symmetrically
             // for lo), so skip the per-term division pass entirely.
             if (smin >= c.lo && smax <= c.hi)
                 return true;
         }
-        // Any bound this pass moves lands on the trail.
-        const std::size_t mark = dom.mark();
 
         for (const auto &t : c.terms) {
             const std::int64_t lb_v = dom.lb(t.var);
@@ -506,13 +504,9 @@ struct TrailSearch
             } else {
                 continue;
             }
-            if (!tightenLb(t.var, new_lb) || !tightenUb(t.var, new_ub)) {
-                cert.tightened = true;
+            if (!tightenLb(t.var, new_lb) || !tightenUb(t.var, new_ub))
                 return false;
-            }
         }
-        if (dom.mark() != mark)
-            cert.tightened = true;
         return true;
     }
 
@@ -734,7 +728,7 @@ struct BaselineState
     bool
     propagate()
     {
-        for (int pass = 0; pass < params.maxPropagationPasses; ++pass) {
+        for (int pass = 0; pass < kMaxPropagationPasses; ++pass) {
             ++propagations;
             bool changed = false;
 
@@ -973,7 +967,6 @@ CpSolver::solve(const CpModel &model,
         st.deadline = deadline;
         st.init(model);
         runEngine(st);
-        result.rowCertificates = std::move(st.certs);
     } else {
         BaselineState st;
         st.model = &model;
@@ -1005,73 +998,6 @@ CpSolver::solve(const CpModel &model,
             exhausted ? SolveStatus::Infeasible : SolveStatus::Unknown;
     }
     return result;
-}
-
-namespace {
-
-/**
- * Whether a row whose hi moved from the recorded model's still has
- * every revision a no-op: it never tightened in the recorded search,
- * and the new hi clears the largest recorded smin by the row's widest
- * term span, so neither the conflict check nor any term's upper-side
- * division can fire. Overflow counts as "no".
- */
-bool
-rowHiChangeIsInert(const CpModel &model, const LinearConstraint &row,
-                   const RowCertificate &cert)
-{
-    if (cert.tightened)
-        return false;
-    std::int64_t width = 0;
-    for (const auto &t : row.terms) {
-        std::int64_t span = 0;
-        if (__builtin_mul_overflow(
-                t.coef < 0 ? -t.coef : t.coef,
-                model.upperBound(t.var) - model.lowerBound(t.var),
-                &span))
-            return false;
-        width = std::max(width, span);
-    }
-    std::int64_t need = 0;
-    if (__builtin_add_overflow(cert.maxSmin, width, &need))
-        return false;
-    return row.hi >= need;
-}
-
-} // namespace
-
-bool
-replaysRecord(const SolveRecord &record, const CpModel &model,
-              const std::vector<std::int64_t> &hint,
-              const SolverParams &params)
-{
-    const CpModel &old = record.model;
-    if (record.result.stopReason == StopReason::TimeLimit ||
-        params != record.params || hint != record.hint ||
-        model.varCount() != old.varCount() ||
-        model.implications() != old.implications() ||
-        model.objective() != old.objective() ||
-        model.constraints().size() != old.constraints().size())
-        return false;
-    for (VarId v = 0; v < static_cast<VarId>(model.varCount()); ++v) {
-        if (model.lowerBound(v) != old.lowerBound(v) ||
-            model.upperBound(v) != old.upperBound(v))
-            return false;
-    }
-    const auto &certs = record.result.rowCertificates;
-    for (std::size_t ci = 0; ci < model.constraints().size(); ++ci) {
-        const auto &row = model.constraints()[ci];
-        const auto &was = old.constraints()[ci];
-        if (row.lo != was.lo || row.terms != was.terms)
-            return false;
-        if (row.hi != was.hi &&
-            (certs.size() != model.constraints().size() ||
-             !rowHiChangeIsInert(model, row, certs[ci])))
-            return false;
-    }
-    // The hint seeds the incumbent only when it is feasible, and the
-    // moved rows decide that too.
-    return model.satisfiedBy(hint) == old.satisfiedBy(hint);
 }
 
 } // namespace flashmem::solver

@@ -22,8 +22,7 @@
  *
  * LC-OPG does not call this solver: every window is settled by the
  * min-cost flow or ships the greedy warm start (core/lc_opg.hh). It
- * stays a standalone engine over CpModel, with symmetry breaking
- * (solver/symmetry.hh) and solve reuse (replaysRecord) beside it,
+ * stays a standalone engine over CpModel, read only by its own tests,
  * until ROADMAP item 1(c) retires it (solver/README.md).
  */
 
@@ -31,8 +30,6 @@
 #define FLASHMEM_SOLVER_SOLVER_HH
 
 #include <cstdint>
-#include <limits>
-#include <string>
 #include <vector>
 
 #include "solver/model.hh"
@@ -58,12 +55,7 @@ struct SolverParams
 {
     double timeLimitSeconds = 150.0;  ///< paper Table 4 uses 150 s
     std::uint64_t maxDecisions = 0;   ///< 0 = unlimited
-    /** Maximum propagation sweeps per node before giving up fixpoint
-     * (Baseline engine only; Trail always reaches fixpoint). */
-    int maxPropagationPasses = 16;
     SearchEngine engine = SearchEngine::Trail;
-    /** Multiplicative activity bump applied per conflict (Trail). */
-    double activityDecay = 1.05;
     /**
      * Luby restart base, in conflicts (Trail only; 0 disables).
      * Restart i aborts the current dive after luby(i) * base conflicts
@@ -77,22 +69,6 @@ struct SolverParams
      * uninterrupted dive.
      */
     std::uint64_t restartConflictBase = 0;
-
-    bool operator==(const SolverParams &) const = default;
-};
-
-/**
- * What one search saw of one linear row (Trail engine): the largest
- * smin at any revision of the row, and whether any revision tightened
- * a bound or conflicted. A row that never tightened was a no-op at
- * every revision, and stays one under any hi >= maxSmin + the row's
- * widest term span, which is what lets replaysRecord() reuse a solve
- * across budgets.
- */
-struct RowCertificate
-{
-    std::int64_t maxSmin = std::numeric_limits<std::int64_t>::min();
-    bool tightened = false;
 };
 
 /** Result of a solve: status, assignment, objective, search stats. */
@@ -109,8 +85,6 @@ struct SolveResult
     std::uint64_t restarts = 0;
     double wallSeconds = 0.0;
     StopReason stopReason = StopReason::Exhausted;
-    /** One per linear row (Trail engine); empty for Baseline. */
-    std::vector<RowCertificate> rowCertificates;
 
     bool
     feasible() const
@@ -138,32 +112,6 @@ class CpSolver
   private:
     SolverParams params_;
 };
-
-/** A finished solve kept so a later, equivalent one can be skipped. */
-struct SolveRecord
-{
-    CpModel model;
-    std::vector<std::int64_t> hint;
-    SolverParams params;
-    SolveResult result;
-};
-
-/**
- * True when CpSolver(params).solve(model, &hint) is certain to return
- * record.result bit for bit: values, status, stop reason, objective
- * and every counter (not wallSeconds). Holds when the two calls agree
- * exactly on params, hint, domains, row terms and lo, implications
- * and objective, the hint is feasible under both models or neither,
- * the record did not stop on the wall clock, and every row whose hi
- * differs never tightened in the recorded search and has
- * hi >= maxSmin + max_k |coef_k| * (ub_k - lb_k). Each revision of
- * such a row is then a no-op under both bounds, so the new search
- * would run in lockstep with the recorded one (solver/README.md,
- * "Solve reuse across budgets").
- */
-bool replaysRecord(const SolveRecord &record, const CpModel &model,
-                   const std::vector<std::int64_t> &hint,
-                   const SolverParams &params);
 
 } // namespace flashmem::solver
 

@@ -3,18 +3,15 @@
  * Tests for the CP model container and the standalone CP-SAT-style
  * solver: propagation, implications, optimality on knapsack-like
  * problems, status reporting, limits, the trail/watch-list machinery
- * behind the fast engine, solve reuse, and randomized equivalence
- * checks against brute-force enumeration (both engines). The same
- * enumeration checks the planner's exact window solver, the min-cost
- * flow, on random window cores stated as CpModels.
+ * behind the fast engine, and randomized equivalence checks against
+ * brute-force enumeration (both engines). The same enumeration checks
+ * the planner's exact window solver, the min-cost flow, on random
+ * window cores stated as CpModels.
  */
 
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <cmath>
-#include <limits>
-#include <string>
 #include <vector>
 
 #include "common/rng.hh"
@@ -842,270 +839,6 @@ TEST(CpSolver, ScalesToOpgWindowSizedProblems)
     // 240 chunks over layers of capacity 40: the optimal late packing
     // fills layers 7..2, costing 40 * (1+2+3+4+5+6) = 840.
     EXPECT_LE(r.objective, 840 + 120); // within 1 layer-shift of optimal
-}
-
-// ------------------------------------------------------- solve reuse
-
-/** Everything a replayed solve must reproduce, compared exactly. */
-void
-expectSameSolve(const SolveResult &want, const SolveResult &got)
-{
-    EXPECT_EQ(want.status, got.status);
-    EXPECT_EQ(want.stopReason, got.stopReason);
-    EXPECT_EQ(want.values, got.values);
-    EXPECT_EQ(want.objective, got.objective);
-    EXPECT_EQ(want.decisions, got.decisions);
-    EXPECT_EQ(want.propagations, got.propagations);
-    EXPECT_EQ(want.backtracks, got.backtracks);
-    EXPECT_EQ(want.restarts, got.restarts);
-    ASSERT_EQ(want.rowCertificates.size(), got.rowCertificates.size());
-    for (std::size_t i = 0; i < want.rowCertificates.size(); ++i) {
-        EXPECT_EQ(want.rowCertificates[i].maxSmin,
-                  got.rowCertificates[i].maxSmin);
-        EXPECT_EQ(want.rowCertificates[i].tightened,
-                  got.rowCertificates[i].tightened);
-    }
-}
-
-/** A model kept as data, so it can be rebuilt with other row bounds. */
-struct ModelData
-{
-    std::vector<std::pair<std::int64_t, std::int64_t>> domains;
-    std::vector<LinearConstraint> rows;
-    std::vector<Implication> implications;
-    std::vector<LinearTerm> objective;
-
-    CpModel
-    build() const
-    {
-        CpModel m;
-        for (const auto &[lo, hi] : domains)
-            m.newIntVar(lo, hi);
-        for (const auto &r : rows)
-            m.addLinear(r.terms, r.lo, r.hi);
-        for (const auto &i : implications)
-            m.addImplicationGeLe(i.x, i.xThreshold, i.y, i.yBound);
-        m.minimize(objective);
-        return m;
-    }
-};
-
-/** Window-flavoured random model: a coverage row, capacity-like <=
- * rows from tight to slack, an implication and a mixed objective. */
-ModelData
-randomReuseModel(Rng &rng)
-{
-    ModelData d;
-    const int nvars = static_cast<int>(rng.uniformInt(5, 8));
-    const std::int64_t dom = rng.uniformInt(2, 4);
-    for (int v = 0; v < nvars; ++v)
-        d.domains.emplace_back(0, dom);
-    LinearConstraint cover;
-    for (int v = 0; v < 3; ++v)
-        cover.terms.push_back({v, 1});
-    cover.lo = cover.hi = rng.uniformInt(1, 2 * dom);
-    d.rows.push_back(cover);
-    const int caps = static_cast<int>(rng.uniformInt(2, 4));
-    for (int c = 0; c < caps; ++c) {
-        LinearConstraint row;
-        std::int64_t reach = 0;
-        for (int v = 0; v < nvars; ++v) {
-            if (rng.uniform() < 0.5) {
-                const std::int64_t coef = rng.uniformInt(1, 3);
-                row.terms.push_back({v, coef});
-                reach += coef * dom;
-            }
-        }
-        if (row.terms.empty())
-            row.terms.push_back({nvars - 1, 1});
-        row.lo = std::numeric_limits<std::int64_t>::min() / 4;
-        row.hi = rng.uniformInt(0, reach + dom);
-        d.rows.push_back(row);
-    }
-    if (rng.uniform() < 0.5)
-        d.implications.push_back({0, 1, nvars - 1, dom - 1});
-    for (int v = 0; v < nvars; ++v)
-        d.objective.push_back({v, rng.uniformInt(-3, 4)});
-    return d;
-}
-
-TEST(SolveReuse, ReplaysMatchFreshSolvesOnRandomModels)
-{
-    // Record a solve, move some row upper bounds, and whenever the
-    // record claims to replay the new model, a fresh solve must agree
-    // with it bit for bit. Moves span both directions and sizes, so
-    // both verdicts occur, including hits where a bound really moved.
-    Rng rng(4242);
-    int hits = 0, moved_hits = 0, misses = 0;
-    for (int trial = 0; trial < 300; ++trial) {
-        const ModelData base = randomReuseModel(rng);
-        SolveRecord rec;
-        rec.model = base.build();
-        rec.params.maxDecisions =
-            std::vector<std::uint64_t>{0, 4, 16, 64}[trial % 4];
-        rec.params.restartConflictBase = trial % 3 == 0 ? 2 : 0;
-        for (const auto &[lo, hi] : base.domains)
-            rec.hint.push_back(rng.uniformInt(lo, hi));
-        rec.result = CpSolver(rec.params).solve(rec.model, &rec.hint);
-        for (int move = 0; move < 8; ++move) {
-            ModelData next = base;
-            bool moved = false;
-            for (auto &row : next.rows) {
-                if (rng.uniform() < 0.5)
-                    continue;
-                row.hi = std::max(row.lo, row.hi + rng.uniformInt(-3, 12));
-                moved = true;
-            }
-            const CpModel m = next.build();
-            const auto fresh = CpSolver(rec.params).solve(m, &rec.hint);
-            if (!replaysRecord(rec, m, rec.hint, rec.params)) {
-                ++misses;
-                continue;
-            }
-            SCOPED_TRACE("trial " + std::to_string(trial) + " move " +
-                         std::to_string(move));
-            expectSameSolve(rec.result, fresh);
-            ++hits;
-            moved_hits += moved;
-        }
-    }
-    EXPECT_GT(moved_hits, 100) << hits << " hits";
-    EXPECT_GT(misses, 100);
-}
-
-/** Two free variables under one row that never binds at hi = 100. */
-ModelData
-slackRowModel(std::int64_t hi)
-{
-    ModelData d;
-    d.domains = {{0, 5}, {0, 5}};
-    LinearConstraint row;
-    row.terms = {{0, 1}, {1, 1}};
-    row.lo = std::numeric_limits<std::int64_t>::min() / 4;
-    row.hi = hi;
-    d.rows.push_back(row);
-    d.objective = {{0, 1}, {1, -1}};
-    return d;
-}
-
-SolveRecord
-recordOf(const ModelData &d, std::vector<std::int64_t> hint,
-         SolverParams params = {})
-{
-    SolveRecord rec;
-    rec.model = d.build();
-    rec.hint = std::move(hint);
-    rec.params = params;
-    rec.result = CpSolver(params).solve(rec.model, &rec.hint);
-    return rec;
-}
-
-TEST(SolveReuse, CertificateBoundIsExact)
-{
-    // The row never tightens at hi = 100; the certificate bound
-    // maxSmin + widest span is the smallest hi the record covers.
-    const SolveRecord rec = recordOf(slackRowModel(100), {0, 0});
-    ASSERT_EQ(rec.result.rowCertificates.size(), 1u);
-    const RowCertificate &cert = rec.result.rowCertificates[0];
-    ASSERT_FALSE(cert.tightened);
-    const std::int64_t bound = cert.maxSmin + 5;
-    ASSERT_LT(bound, 100);
-
-    const CpModel at_bound = slackRowModel(bound).build();
-    EXPECT_TRUE(replaysRecord(rec, at_bound, rec.hint, rec.params));
-    expectSameSolve(rec.result,
-                    CpSolver(rec.params).solve(at_bound, &rec.hint));
-    EXPECT_FALSE(replaysRecord(rec, slackRowModel(bound - 1).build(),
-                               rec.hint, rec.params));
-}
-
-TEST(SolveReuse, RowThatTightenedNeverReplays)
-{
-    // x + y <= 3 over [0, 5] tightens both upper bounds at the root,
-    // so no other hi may reuse the search, however large.
-    const SolveRecord rec = recordOf(slackRowModel(3), {0, 0});
-    ASSERT_TRUE(rec.result.rowCertificates[0].tightened);
-    EXPECT_FALSE(replaysRecord(rec, slackRowModel(1000).build(),
-                               rec.hint, rec.params));
-    // The unchanged model always replays.
-    EXPECT_TRUE(replaysRecord(rec, slackRowModel(3).build(), rec.hint,
-                              rec.params));
-}
-
-TEST(SolveReuse, RowThatConflictedNeverReplays)
-{
-    // x = 4z and y = 4z raise x and y together when z = 1, and the
-    // revision of x + y <= 7 that follows sees smin = 8: a conflict
-    // with no tightening before it. At hi = 12 that branch is feasible
-    // and better, so the record must not cover it.
-    ModelData d;
-    d.domains = {{0, 4}, {0, 4}, {0, 1}};
-    d.rows.push_back({{{0, 1}, {2, -4}}, 0, 0});
-    d.rows.push_back({{{1, 1}, {2, -4}}, 0, 0});
-    d.rows.push_back({{{0, 1}, {1, 1}},
-                      std::numeric_limits<std::int64_t>::min() / 4, 7});
-    d.objective = {{0, -1}, {1, -1}};
-    const SolveRecord rec = recordOf(d, {0, 0, 0});
-    ASSERT_TRUE(rec.result.rowCertificates[2].tightened);
-    d.rows[2].hi = 12;
-    const CpModel wider = d.build();
-    EXPECT_FALSE(replaysRecord(rec, wider, rec.hint, rec.params));
-    EXPECT_LT(CpSolver(rec.params).solve(wider, &rec.hint).objective,
-              rec.result.objective);
-}
-
-TEST(SolveReuse, HintFeasibilityFlipMisses)
-{
-    // Maximize x + y from the hint (5, 5): the hint meets the root
-    // bound, so the search stops before revising any row and every
-    // certificate passes. At hi = 9 the hint is infeasible and the
-    // search must start without an incumbent.
-    ModelData d = slackRowModel(100);
-    d.objective = {{0, -1}, {1, -1}};
-    const SolveRecord rec = recordOf(d, {5, 5});
-    ASSERT_EQ(rec.result.decisions, 0u);
-    d.rows[0].hi = 9;
-    const CpModel flipped = d.build();
-    EXPECT_FALSE(replaysRecord(rec, flipped, rec.hint, rec.params));
-    EXPECT_NE(CpSolver(rec.params).solve(flipped, &rec.hint).values,
-              rec.result.values);
-    d.rows[0].hi = 10; // still feasible: replays
-    EXPECT_TRUE(replaysRecord(rec, d.build(), rec.hint, rec.params));
-}
-
-TEST(SolveReuse, TimeLimitRecordNeverReplays)
-{
-    SolverParams params;
-    params.timeLimitSeconds = 0.0; // stops at the first limit poll
-    const SolveRecord rec = recordOf(slackRowModel(100), {0, 0}, params);
-    ASSERT_EQ(rec.result.stopReason, StopReason::TimeLimit);
-    EXPECT_FALSE(replaysRecord(rec, rec.model, rec.hint, rec.params));
-}
-
-TEST(SolveReuse, ParamsHintAndRowSetMustMatch)
-{
-    const SolveRecord rec = recordOf(slackRowModel(100), {0, 0});
-    ASSERT_TRUE(replaysRecord(rec, rec.model, rec.hint, rec.params));
-
-    SolverParams budget = rec.params;
-    budget.maxDecisions = 7;
-    EXPECT_FALSE(replaysRecord(rec, rec.model, rec.hint, budget));
-    EXPECT_FALSE(replaysRecord(rec, rec.model, {1, 0}, rec.params));
-
-    // A different lex-row set: one row more, or the same count with
-    // other terms.
-    ModelData extra = slackRowModel(100);
-    LinearConstraint lex;
-    lex.terms = {{0, 1}, {1, -1}};
-    lex.lo = std::numeric_limits<std::int64_t>::min() / 4;
-    lex.hi = 0;
-    extra.rows.push_back(lex);
-    EXPECT_FALSE(
-        replaysRecord(rec, extra.build(), rec.hint, rec.params));
-    ModelData other = slackRowModel(100);
-    other.rows[0].terms = {{0, 1}, {1, 2}};
-    EXPECT_FALSE(
-        replaysRecord(rec, other.build(), rec.hint, rec.params));
 }
 
 } // namespace

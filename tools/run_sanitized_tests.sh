@@ -10,24 +10,19 @@
 #
 # Usage: tools/run_sanitized_tests.sh [address|thread|undefined]
 #   With no argument both address and thread run ('all'), followed by
-#   a focused standalone-UBSan pass over the symmetry tests (the
-#   lex-row leader functions multiply saturating positional weights
-#   into int64 sums, the CP solver's closest brush with overflow), the
-#   solve-reuse tests (the replay certificate adds row spans to
-#   recorded sums under overflow checks), the greedy-start test (window
+#   a focused standalone-UBSan pass over the greedy-start test (window
 #   objectives of every zoo and ladder plan summed in int64), the
 #   window-flow tests (integer costs scaled by 1000 and summed over
-#   every chunk), the
-#   run-replay tests (shifted timestamps and summed busy times, bytes
-#   and trace points against the executions they replace), and the
-#   event-loop arrival-cursor and admission-floor tests (index sorts
-#   over the queue; deadline-minus-estimate bounds compared against
-#   the extreme SimTime values). The
-#   address build already folds UBSan in, so 'undefined' is the
-#   standalone UBSan build for isolating alignment/overflow reports
-#   from ASan noise. Extra ctest arguments
-#   can be passed via CTEST_ARGS, e.g. CTEST_ARGS="-R Faults" to
-#   iterate on the fault-injection tests alone.
+#   every chunk), the run-replay tests (shifted timestamps and summed
+#   busy times, bytes and trace points against the executions they
+#   replace), and the event-loop arrival-cursor and admission-floor
+#   tests (index sorts over the queue; deadline-minus-estimate bounds
+#   compared against the extreme SimTime values). The address build
+#   already folds UBSan in, so 'undefined' is the standalone UBSan
+#   build for isolating alignment/overflow reports from ASan noise.
+#   Extra ctest arguments can be passed via CTEST_ARGS, e.g.
+#   CTEST_ARGS="-R Faults" to iterate on the fault-injection tests
+#   alone.
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -71,11 +66,10 @@ case "$requested" in
     all)
         run_one address
         run_one thread
-        # Focused UBSan arm: the symmetry lex rows, the solve-reuse
-        # certificates, the greedy start, the window flow, the run
-        # replay, the arrival cursor and the admission floor, alone,
-        # under the standalone UBSan build.
-        run_one undefined -R 'Symmetry|SolveReuse|GreedyStart|WindowFlow|FlowFirst|^Replay|ReplayedDrain|AppendShifted|StartTimeInvariant|ArrivalCursor|AdmissionFloor'
+        # Focused UBSan arm: the greedy start, the window flow, the
+        # run replay, the arrival cursor and the admission floor,
+        # alone, under the standalone UBSan build.
+        run_one undefined -R 'GreedyStart|WindowFlow|FlowFirst|^Replay|ReplayedDrain|AppendShifted|StartTimeInvariant|ArrivalCursor|AdmissionFloor'
         ;;
     *)  echo "usage: $0 [address|thread|undefined]" >&2; exit 2 ;;
 esac
