@@ -142,8 +142,17 @@ class RateLimitedWarn
 
 } // namespace flashmem
 
-#define FM_FATAL(...) ::flashmem::fatal(__FILE__, __LINE__, __VA_ARGS__)
-#define FM_PANIC(...) ::flashmem::panic(__FILE__, __LINE__, __VA_ARGS__)
+/* __FILE_NAME__ (the basename; GCC >= 12, Clang >= 9) rather than
+ * __FILE__: no checkout path lands in a binary, so two checkouts of the
+ * same sources build the same machine code wherever they live. Older
+ * compilers fall back to __FILE__. */
+#ifdef __FILE_NAME__
+#define FM_SOURCE_FILE __FILE_NAME__
+#else
+#define FM_SOURCE_FILE __FILE__
+#endif
+#define FM_FATAL(...) ::flashmem::fatal(FM_SOURCE_FILE, __LINE__, __VA_ARGS__)
+#define FM_PANIC(...) ::flashmem::panic(FM_SOURCE_FILE, __LINE__, __VA_ARGS__)
 
 /** Assert an internal invariant; always active (not tied to NDEBUG). */
 #define FM_ASSERT(cond, ...)                                               \

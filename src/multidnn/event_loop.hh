@@ -32,6 +32,21 @@
  * in the trace length. Every step takes whichever of the next
  * arrival and the heap top comes first under the order above.
  *
+ * Ready set: the arrived, not yet dispatched requests, kept sorted in
+ * the policy's static SchedulingPolicy::before() order (ReadySet,
+ * multidnn/ready_set.hh) — FIFO by default, (estimate, FIFO) for SJF,
+ * (deadline, FIFO) for EDF. A static-order policy's select() returns
+ * the front, so a dispatch costs no scan; a policy whose ranking moves
+ * with the clock (priority aging) keeps FIFO order and scans. The set
+ * is one contiguous buffer with a head offset: the front pop advances
+ * the head, and an insertion checks the tail before it searches, so
+ * fresh FIFO and uniform-SLO EDF arrivals append. select(), the
+ * arrival gate and the dispatch hook see it as a span in before()
+ * order. Drops keep *entry* order, the order an unsorted set would
+ * report them in: each entry is stamped (ReadyRequest::readySeq) as
+ * it enters, and the admission pass and the end-of-drain starvation
+ * sweep emit their drops (onDrop and requestShed) sorted by stamp.
+ *
  * Admission floor: the dispatch-point admission pass
  * (SchedulingPolicy::admit over the ready set) only runs when some
  * ready request can fail it. The loop keeps admit_floor, a lower
@@ -67,6 +82,7 @@
 #include <cmath>
 #include <deque>
 #include <queue>
+#include <span>
 #include <sstream>
 #include <vector>
 
@@ -74,6 +90,7 @@
 #include "multidnn/device.hh"
 #include "multidnn/faults.hh"
 #include "multidnn/policies.hh"
+#include "multidnn/ready_set.hh"
 #include "multidnn/workload.hh"
 #include "obs/trace.hh"
 
@@ -119,15 +136,16 @@ struct DispatchedRun
  *     scheduler view of request @p seq (estimate lookup differs
  *     between the real and fast paths).
  * @param dispatch   (const ReadyRequest &picked,
- *     const std::vector<ReadyRequest> &ready, SimTime now,
+ *     std::span<const ReadyRequest> ready, SimTime now,
  *     std::uint64_t runId) -> DispatchedRun: place and execute the
  *     picked request. The hook chooses the device
  *     (DeviceCluster::pickDevice), computes or measures the run's
  *     times, and must call DeviceCluster::commit; the loop schedules
  *     the DMA-free and completion events from the returned times.
- *     @p ready is the remaining ready set (co-resident working-set
- *     accounting); @p runId identifies this dispatch in the matching
- *     onComplete call (a retried request dispatches under a fresh id).
+ *     @p ready is the remaining ready set in the policy's before()
+ *     order (co-resident working-set accounting); @p runId
+ *     identifies this dispatch in the matching onComplete call (a
+ *     retried request dispatches under a fresh id).
  * @param onComplete (const ReadyRequest &req, const DispatchedRun
  *     &run, std::uint64_t runId): the run survived to completion.
  *     Delivered in runId (dispatch) order; run.times carries the
@@ -135,7 +153,8 @@ struct DispatchedRun
  * @param onDrop     (const ReadyRequest &r, SimTime now,
  *     DropReason reason): request dropped without completing — SLO
  *     admission shed, fault-retry budget exhausted, or starved at
- *     drain end with no accepting device left.
+ *     drain end with no accepting device left. Drops of one admission
+ *     pass, and the starvation drops, come in ready-set entry order.
  * @param ready_limit abort threshold on the ready-set size (0 = no
  *     limit). @return false when the backlog exceeded it — the
  *     offered load is unstable and the drain aborted early.
@@ -279,7 +298,9 @@ drainClusterQueue(const std::vector<ModelRequest> &queue,
     std::vector<std::vector<std::uint64_t>> device_runs(
         static_cast<std::size_t>(cluster.deviceCount()));
 
-    std::vector<ReadyRequest> ready;
+    ReadySet ready(policy);
+    // Drops of one admission pass or of the starvation sweep.
+    std::vector<ReadyRequest> dropped;
     std::vector<ReadyRequest> retry_pool;
     // Lower bound on policy.admitUntil over the ready set.
     SimTime admit_floor = kTimeNever;
@@ -294,6 +315,16 @@ drainClusterQueue(const std::vector<ModelRequest> &queue,
                                static_cast<std::int64_t>(reason),
                                r.attempts);
         onDrop(r, t, reason);
+    };
+    // Drop every request in @p dropped in entry order and clear it.
+    auto dropInEntryOrder = [&](SimTime t, DropReason reason) {
+        std::sort(dropped.begin(), dropped.end(),
+                  [](const ReadyRequest &a, const ReadyRequest &b) {
+                      return a.readySeq < b.readySeq;
+                  });
+        for (const auto &r : dropped)
+            drop(r, t, reason);
+        dropped.clear();
     };
 
     // Kill one live run: resolve its window entry and either schedule
@@ -391,8 +422,8 @@ drainClusterQueue(const std::vector<ModelRequest> &queue,
         // state both execution paths share bit-identically.
         auto enterReady = [&](ReadyRequest r) {
             if (arrival) {
-                auto verdict =
-                    arrival->admitAtArrival(now, r, ready, cluster);
+                auto verdict = arrival->admitAtArrival(
+                    now, r, ready.entries(), cluster);
                 // Emitted here — not by the gate — because both
                 // execution paths share one gate object but carry
                 // their own recorders.
@@ -409,7 +440,7 @@ drainClusterQueue(const std::vector<ModelRequest> &queue,
                     r.degraded = true;
             }
             admit_floor = std::min(admit_floor, policy.admitUntil(r));
-            ready.push_back(std::move(r));
+            ready.insert(r);
             // Backlog diverged: unstable load, abort the drain.
             return !(ready_limit > 0 && ready.size() > ready_limit);
         };
@@ -597,43 +628,41 @@ drainClusterQueue(const std::vector<ModelRequest> &queue,
             // before selection — or stickily marked for degraded
             // dispatch. Retried requests pass through the same gate,
             // so a retry that cannot meet its deadline any more is
-            // shed instead of being retried forever. The ready set is
-            // scanned in arrival order, so verdicts are deterministic.
-            // The pass is skipped while no entry can fail it
-            // (now <= admit_floor: every verdict would be Admit).
+            // shed instead of being retried forever. Verdicts read one
+            // entry each, and the sheds are reported in entry order,
+            // so the pass is deterministic. It is skipped while no
+            // entry can fail it (now <= admit_floor: every verdict
+            // would be Admit).
             if (now > admit_floor) {
                 admit_floor = kTimeNever;
-                for (std::size_t i = 0; i < ready.size();) {
-                    auto verdict = policy.admit(now, ready[i]);
-                    FM_ASSERT(verdict == Admission::Admit ||
-                                  now > policy.admitUntil(ready[i]),
-                              "admit() refused a request before its "
-                              "admitUntil()");
-                    if (verdict == Admission::Shed) {
-                        drop(ready[i], now, DropReason::Admission);
-                        ready.erase(ready.begin() +
-                                    static_cast<std::ptrdiff_t>(i));
-                        continue;
-                    }
-                    if (verdict == Admission::Degrade)
-                        ready[i].degraded = true;
-                    admit_floor = std::min(admit_floor,
-                                           policy.admitUntil(ready[i]));
-                    ++i;
-                }
+                ready.extractIf(
+                    [&](ReadyRequest &r) {
+                        auto verdict = policy.admit(now, r);
+                        FM_ASSERT(verdict == Admission::Admit ||
+                                      now > policy.admitUntil(r),
+                                  "admit() refused a request before "
+                                  "its admitUntil()");
+                        if (verdict == Admission::Shed)
+                            return true;
+                        if (verdict == Admission::Degrade)
+                            r.degraded = true;
+                        admit_floor =
+                            std::min(admit_floor, policy.admitUntil(r));
+                        return false;
+                    },
+                    dropped);
+                dropInEntryOrder(now, DropReason::Admission);
             }
             if (ready.empty())
                 break;
 
-            auto pick = policy.select(now, ready);
+            auto pick = policy.select(now, ready.entries());
             FM_ASSERT(pick < ready.size(),
                       "policy picked out of range");
-            ReadyRequest picked = ready[pick];
-            ready.erase(ready.begin() +
-                        static_cast<std::ptrdiff_t>(pick));
+            ReadyRequest picked = ready.take(pick);
 
             std::uint64_t run_id = next_run_id++;
-            auto run = dispatch(picked, ready, now, run_id);
+            auto run = dispatch(picked, ready.entries(), now, run_id);
             if (trace)
                 trace->requestDispatch(
                     now, picked.queueIndex,
@@ -659,11 +688,11 @@ drainClusterQueue(const std::vector<ModelRequest> &queue,
     // Anything still queued when the event horizon is exhausted had
     // no surviving device to run on: record the starvation instead of
     // dropping the requests silently.
-    for (const auto &r : ready) {
-        if (counters)
-            ++counters->starved;
-        drop(r, now, DropReason::Starved);
-    }
+    auto starved = ready.entries();
+    dropped.assign(starved.begin(), starved.end());
+    if (counters)
+        counters->starved += static_cast<int>(dropped.size());
+    dropInEntryOrder(now, DropReason::Starved);
     return true;
 }
 

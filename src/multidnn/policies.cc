@@ -19,30 +19,18 @@ fifoBefore(const ReadyRequest &a, const ReadyRequest &b)
 
 } // namespace
 
-std::size_t
-FifoPolicy::select(SimTime, const std::vector<ReadyRequest> &ready) const
+bool
+SchedulingPolicy::before(const ReadyRequest &a, const ReadyRequest &b) const
 {
-    FM_ASSERT(!ready.empty(), "select() on empty ready set");
-    std::size_t best = 0;
-    for (std::size_t i = 1; i < ready.size(); ++i) {
-        if (fifoBefore(ready[i], ready[best]))
-            best = i;
-    }
-    return best;
+    return fifoBefore(a, b);
 }
 
-std::size_t
-SjfPolicy::select(SimTime, const std::vector<ReadyRequest> &ready) const
+bool
+SjfPolicy::before(const ReadyRequest &a, const ReadyRequest &b) const
 {
-    FM_ASSERT(!ready.empty(), "select() on empty ready set");
-    std::size_t best = 0;
-    for (std::size_t i = 1; i < ready.size(); ++i) {
-        if (ready[i].estimatedLatency != ready[best].estimatedLatency
-                ? ready[i].estimatedLatency < ready[best].estimatedLatency
-                : fifoBefore(ready[i], ready[best]))
-            best = i;
-    }
-    return best;
+    if (a.estimatedLatency != b.estimatedLatency)
+        return a.estimatedLatency < b.estimatedLatency;
+    return fifoBefore(a, b);
 }
 
 std::int64_t
@@ -56,7 +44,7 @@ PriorityAgingPolicy::effectivePriority(SimTime now,
 
 std::size_t
 PriorityAgingPolicy::select(SimTime now,
-                            const std::vector<ReadyRequest> &ready) const
+                            std::span<const ReadyRequest> ready) const
 {
     FM_ASSERT(!ready.empty(), "select() on empty ready set");
     std::size_t best = 0;
@@ -72,19 +60,12 @@ PriorityAgingPolicy::select(SimTime now,
     return best;
 }
 
-std::size_t
-DeadlinePolicy::select(SimTime,
-                       const std::vector<ReadyRequest> &ready) const
+bool
+DeadlinePolicy::before(const ReadyRequest &a, const ReadyRequest &b) const
 {
-    FM_ASSERT(!ready.empty(), "select() on empty ready set");
-    std::size_t best = 0;
-    for (std::size_t i = 1; i < ready.size(); ++i) {
-        if (ready[i].deadline() != ready[best].deadline()
-                ? ready[i].deadline() < ready[best].deadline()
-                : fifoBefore(ready[i], ready[best]))
-            best = i;
-    }
-    return best;
+    if (a.deadline() != b.deadline())
+        return a.deadline() < b.deadline();
+    return fifoBefore(a, b);
 }
 
 SimTime

@@ -14,6 +14,7 @@
 #define FLASHMEM_MULTIDNN_POLICIES_HH
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/types.hh"
@@ -43,6 +44,10 @@ struct ReadyRequest
      * re-dispatches landing elsewhere count as failovers. */
     int lastFailedDevice = -1;
     /** @} */
+    /** Entry stamp: the event loop numbers ready-set entries in the
+     * order they enter, so drops it reports from a policy-ordered set
+     * still come out in entry order (multidnn/event_loop.hh). */
+    std::uint64_t readySeq = 0;
 
     /** Absolute completion deadline (kTimeNever when unbounded). */
     SimTime deadline() const
@@ -68,12 +73,31 @@ class SchedulingPolicy
     virtual const char *name() const = 0;
 
     /**
-     * Pick the next request to dispatch at simulated time @p now.
-     * @param ready non-empty list of arrived requests.
-     * @return index INTO @p ready (not a queue index).
+     * The static order the event loop keeps its ready set in: true
+     * when @p a goes before @p b. It must be a strict total order over
+     * the requests of one ready set (queue indices are distinct there)
+     * that reads only fields fixed when a request enters the set —
+     * not ReadyRequest::degraded, which the admission pass sets. A
+     * policy whose ranking is static declares it here and takes the
+     * front in select(); one whose ranking moves with the clock keeps
+     * this default and scans. The default is FIFO: (arrival,
+     * queueIndex).
      */
-    virtual std::size_t select(
-        SimTime now, const std::vector<ReadyRequest> &ready) const = 0;
+    virtual bool before(const ReadyRequest &a,
+                        const ReadyRequest &b) const;
+
+    /**
+     * Pick the next request to dispatch at simulated time @p now.
+     * @param ready non-empty set of arrived requests, in before()
+     *     order.
+     * @return index INTO @p ready (not a queue index). The default
+     *     takes the front: the first request under before().
+     */
+    virtual std::size_t
+    select(SimTime /*now*/, std::span<const ReadyRequest> /*ready*/) const
+    {
+        return 0;
+    }
 
     /**
      * True to enable memory-aware admission: the scheduler divides the
@@ -126,24 +150,22 @@ class SchedulingPolicy
     }
 };
 
-/** Arrival order (queue-index tie-break) — the seed FIFO drain. */
+/** Arrival order (queue-index tie-break) — the seed FIFO drain:
+ * the default before() order, front first. */
 class FifoPolicy : public SchedulingPolicy
 {
   public:
     const char *name() const override { return "fifo"; }
-    std::size_t select(SimTime now,
-                       const std::vector<ReadyRequest> &ready)
-        const override;
 };
 
-/** Shortest estimated execution first (arrival/index tie-break). */
+/** Shortest estimated execution first (arrival/index tie-break):
+ * ordered by (estimatedLatency, FIFO), front first. */
 class SjfPolicy : public SchedulingPolicy
 {
   public:
     const char *name() const override { return "sjf"; }
-    std::size_t select(SimTime now,
-                       const std::vector<ReadyRequest> &ready)
-        const override;
+    bool before(const ReadyRequest &a,
+                const ReadyRequest &b) const override;
     bool needsEstimates() const override { return true; }
 };
 
@@ -151,7 +173,8 @@ class SjfPolicy : public SchedulingPolicy
  * Highest effective priority first, where waiting raises priority:
  * effective = priority + waited / agingQuantum. Aging makes the policy
  * starvation-free — any request eventually outranks fresh high-priority
- * arrivals.
+ * arrivals. The ranking moves with the clock, so the ready set stays
+ * in FIFO order and select() scans it.
  */
 class PriorityAgingPolicy : public SchedulingPolicy
 {
@@ -161,8 +184,7 @@ class PriorityAgingPolicy : public SchedulingPolicy
     {}
 
     const char *name() const override { return "priority-aging"; }
-    std::size_t select(SimTime now,
-                       const std::vector<ReadyRequest> &ready)
+    std::size_t select(SimTime now, std::span<const ReadyRequest> ready)
         const override;
 
     /** Effective priority of @p r at time @p now. */
@@ -195,7 +217,8 @@ class MemoryAwarePolicy : public FifoPolicy
  * memory for co-resident models at the cost of a late completion; an
  * already-degraded request is admitted as it is. Unbounded requests
  * are always admitted and order behind bounded ones (deadline =
- * never).
+ * never). The ready set is ordered by (deadline(), FIFO), so the EDF
+ * pick is its front.
  */
 class DeadlinePolicy : public SchedulingPolicy
 {
@@ -213,9 +236,8 @@ class DeadlinePolicy : public SchedulingPolicy
     {
         return mode_ == Overload::Shed ? "deadline" : "deadline-degrade";
     }
-    std::size_t select(SimTime now,
-                       const std::vector<ReadyRequest> &ready)
-        const override;
+    bool before(const ReadyRequest &a,
+                const ReadyRequest &b) const override;
     bool needsEstimates() const override { return true; }
     /** deadline() - estimatedLatency for a bounded request; kTimeNever
      * when unbounded or, in Degrade mode, already degraded. */
@@ -256,14 +278,16 @@ class ArrivalAdmission
     /**
      * Verdict for @p r entering the ready set at @p now (fresh arrival
      * or fault retry). @p ready is the current queued-but-unplaced
-     * set; @p cluster exposes the per-device compute/DMA horizons the
-     * backlog model projects from. Shed verdicts drop the request with
-     * DropReason::ArrivalShed; Degrade marks it for dispatch at the
-     * policy's degraded budget.
+     * set, in the scheduling policy's before() order; a verdict must
+     * not depend on that order, since it differs between policies and
+     * the gate is policy-agnostic. @p cluster exposes the per-device
+     * compute/DMA horizons the backlog model projects from. Shed
+     * verdicts drop the request with DropReason::ArrivalShed; Degrade
+     * marks it for dispatch at the policy's degraded budget.
      */
     virtual Admission admitAtArrival(
         SimTime now, const ReadyRequest &r,
-        const std::vector<ReadyRequest> &ready,
+        std::span<const ReadyRequest> ready,
         const DeviceCluster &cluster) const = 0;
 };
 

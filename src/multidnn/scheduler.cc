@@ -186,7 +186,7 @@ EventScheduler::drain(DeviceCluster &cluster,
             return r;
         },
         [&](const ReadyRequest &picked,
-            const std::vector<ReadyRequest> &ready, SimTime now,
+            std::span<const ReadyRequest> ready, SimTime now,
             std::uint64_t run_id) {
             // Co-resident working sets: the dispatched model plus
             // every distinct model still waiting in the ready set.

@@ -176,7 +176,7 @@ AdmissionController::AdmissionController(
 multidnn::Admission
 AdmissionController::admitAtArrival(
     SimTime now, const multidnn::ReadyRequest &r,
-    const std::vector<multidnn::ReadyRequest> &ready,
+    std::span<const multidnn::ReadyRequest> ready,
     const multidnn::DeviceCluster &cluster) const
 {
     const auto &est = estimator_.estimate(r.model);

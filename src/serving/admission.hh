@@ -50,6 +50,7 @@
 #define FLASHMEM_SERVING_ADMISSION_HH
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "multidnn/device.hh"
@@ -195,7 +196,7 @@ class AdmissionController : public multidnn::ArrivalAdmission
 
     multidnn::Admission admitAtArrival(
         SimTime now, const multidnn::ReadyRequest &r,
-        const std::vector<multidnn::ReadyRequest> &ready,
+        std::span<const multidnn::ReadyRequest> ready,
         const multidnn::DeviceCluster &cluster) const override;
 
     const ServiceEstimator &estimator() const { return estimator_; }

@@ -60,7 +60,7 @@ simulateImpl(const std::vector<ModelRequest> &trace,
             return r;
         },
         [&](const ReadyRequest &picked,
-            const std::vector<ReadyRequest> &, SimTime now,
+            std::span<const ReadyRequest>, SimTime now,
             std::uint64_t) {
             // Placement keys (capacity affinity) on the primary
             // table's plan budgets; dispatch times come from the

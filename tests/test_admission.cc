@@ -5,13 +5,18 @@
  * pessimistic), the backlog gate's verdicts on hand-built cluster
  * states, drop accounting through the fast simulator, and the
  * fast-sim-vs-EventScheduler bit-exact cross-validation with the gate
- * enabled and a cold model in the mix, and the event loop's skipped
- * dispatch-point admission passes against a pass at every dispatch.
+ * enabled and a cold model in the mix, the event loop's skipped
+ * dispatch-point admission passes against a pass at every dispatch,
+ * and its policy-ordered ready set against entry-order twins of the
+ * ordered policies.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
+#include <span>
+#include <string>
 
 #include "core/flashmem.hh"
 #include "multidnn/faults.hh"
@@ -538,27 +543,39 @@ dispatchSheds(const obs::TraceRecorder &rec)
     return n;
 }
 
-TEST(AdmissionFloor, SkippedPassesMatchAPassAtEveryDispatch)
+/** 2x overload of handTable() on two pipelined devices, with bounds
+ * tight enough that the dispatch-point pass sheds or degrades. */
+std::vector<multidnn::ModelRequest>
+floorTrace()
 {
-    // 2x overload on two pipelined devices, bounds tight enough that
-    // the dispatch-point pass sheds or degrades, over every mix of
-    // overload mode, arrival gate and fault plan.
-    auto table = handTable();
-    ServiceEstimator est(table);
     ModelMix mix;
     mix.entries = {{ModelId::ResNet50, 2.0, milliseconds(30), 0},
                    {ModelId::ViT, 1.0, milliseconds(90), 0},
                    {ModelId::ResNet50, 0.5, 0, 0}};
-    auto trace = poissonTrace(mix, 110.0, 3000, /*seed=*/29);
+    return poissonTrace(mix, 110.0, 3000, /*seed=*/29);
+}
 
+/** A crash, stalls and DMA errors over floorTrace()'s two devices. */
+multidnn::FaultPlan
+floorFaults()
+{
     multidnn::FaultPlanParams fp;
     fp.stallsPerSecond = 0.5;
     fp.meanStall = milliseconds(40);
     fp.dmaErrorsPerSecond = 1.0;
-    auto plan = multidnn::mergeFaultPlans(
+    return multidnn::mergeFaultPlans(
         multidnn::crashAndRejoin(0, milliseconds(800),
                                  milliseconds(300)),
         multidnn::generateFaultPlan(fp, 2, seconds(30), 5));
+}
+
+TEST(AdmissionFloor, SkippedPassesMatchAPassAtEveryDispatch)
+{
+    // Every mix of overload mode, arrival gate and fault plan.
+    auto table = handTable();
+    ServiceEstimator est(table);
+    auto trace = floorTrace();
+    auto plan = floorFaults();
 
     for (auto mode : {DeadlinePolicy::Overload::Shed,
                       DeadlinePolicy::Overload::Degrade}) {
@@ -644,6 +661,268 @@ TEST(AdmissionFloor, DeadlineAdmitUntilIsTheLastAdmittingInstant)
             EXPECT_EQ(policy.admitUntil(r), until);
         }
     }
+}
+
+// ------------------------------- the ready set in policy order
+
+/** A policy's ranking key, compared before the FIFO tie-break. */
+using RankKey = SimTime (*)(const ReadyRequest &);
+SimTime fifoKey(const ReadyRequest &) { return 0; }
+SimTime sjfKey(const ReadyRequest &r) { return r.estimatedLatency; }
+SimTime edfKey(const ReadyRequest &r) { return r.deadline(); }
+
+/**
+ * Oracle twin of an ordered policy: before() is always false, so the
+ * event loop keeps the ready set in entry order, and select() is the
+ * linear (key, arrival, queueIndex) scan the policies ran before the
+ * ready set was kept in their order.
+ */
+template <typename Base, RankKey Key>
+class EntryOrderTwin : public Base
+{
+  public:
+    using Base::Base;
+    bool
+    before(const ReadyRequest &, const ReadyRequest &) const override
+    {
+        return false;
+    }
+    std::size_t
+    select(SimTime, std::span<const ReadyRequest> ready) const override
+    {
+        std::size_t best = 0;
+        for (std::size_t i = 1; i < ready.size(); ++i) {
+            const auto &a = ready[i];
+            const auto &b = ready[best];
+            bool less = Key(a) != Key(b) ? Key(a) < Key(b)
+                        : a.arrival != b.arrival
+                            ? a.arrival < b.arrival
+                            : a.queueIndex < b.queueIndex;
+            if (less)
+                best = i;
+        }
+        return best;
+    }
+};
+
+/** An ordered policy that counts the dispatches whose ready set was
+ * not in entry order, i.e. where its order did real work. */
+template <typename Base>
+class ReorderProbe : public Base
+{
+  public:
+    using Base::Base;
+    std::size_t
+    select(SimTime now, std::span<const ReadyRequest> ready) const override
+    {
+        reordered += !std::is_sorted(
+            ready.begin(), ready.end(),
+            [](const ReadyRequest &a, const ReadyRequest &b) {
+                return a.readySeq < b.readySeq;
+            });
+        return Base::select(now, ready);
+    }
+    mutable std::size_t reordered = 0;
+};
+
+/** Run @p body(ordered, twin, mode, reorders) for FIFO, SJF and
+ * Deadline in Shed and in Degrade mode; @p mode also sets the arrival
+ * gate's, and @p reorders says the policy's order is not arrival
+ * order. */
+template <typename Body>
+void
+forEachOrderedPolicy(Body &&body)
+{
+    using Overload = DeadlinePolicy::Overload;
+    {
+        SCOPED_TRACE("fifo");
+        ReorderProbe<multidnn::FifoPolicy> ordered;
+        EntryOrderTwin<multidnn::FifoPolicy, fifoKey> twin;
+        body(ordered, twin, Overload::Shed, false);
+    }
+    {
+        SCOPED_TRACE("sjf");
+        ReorderProbe<multidnn::SjfPolicy> ordered;
+        EntryOrderTwin<multidnn::SjfPolicy, sjfKey> twin;
+        body(ordered, twin, Overload::Shed, true);
+    }
+    for (auto mode : {Overload::Shed, Overload::Degrade}) {
+        SCOPED_TRACE(mode == Overload::Shed ? "deadline"
+                                            : "deadline-degrade");
+        ReorderProbe<DeadlinePolicy> ordered(mode);
+        EntryOrderTwin<DeadlinePolicy, edfKey> twin(mode);
+        body(ordered, twin, mode, true);
+    }
+}
+
+void
+expectSameSchedule(const multidnn::ScheduleOutcome &a,
+                   const multidnn::ScheduleOutcome &b)
+{
+    EXPECT_EQ(a.policy, b.policy);
+    ASSERT_EQ(a.runs.size(), b.runs.size());
+    for (std::size_t i = 0; i < a.runs.size(); ++i) {
+        const auto &x = a.runs[i];
+        const auto &y = b.runs[i];
+        ASSERT_TRUE(x.model == y.model && x.device == y.device &&
+                    x.arrival == y.arrival && x.start == y.start &&
+                    x.initDone == y.initDone && x.end == y.end &&
+                    x.degraded == y.degraded &&
+                    x.peakMemory == y.peakMemory)
+            << "run " << i;
+    }
+    ASSERT_EQ(a.shed.size(), b.shed.size());
+    for (std::size_t i = 0; i < a.shed.size(); ++i) {
+        const auto &x = a.shed[i];
+        const auto &y = b.shed[i];
+        ASSERT_TRUE(x.queueIndex == y.queueIndex && x.model == y.model &&
+                    x.shedAt == y.shedAt && x.reason == y.reason)
+            << "shed " << i;
+    }
+    EXPECT_EQ(a.makespan, b.makespan);
+    EXPECT_EQ(a.peakMemory, b.peakMemory);
+    EXPECT_EQ(a.energyJoules, b.energyJoules);
+    EXPECT_EQ(a.replans, b.replans);
+    EXPECT_EQ(a.degradedRuns, b.degradedRuns);
+    EXPECT_EQ(a.faults.retries, b.faults.retries);
+    EXPECT_EQ(a.faults.failovers, b.faults.failovers);
+    EXPECT_EQ(a.faults.faultSheds, b.faults.faultSheds);
+    EXPECT_EQ(a.faults.starved, b.faults.starved);
+    ASSERT_EQ(a.devices.size(), b.devices.size());
+    for (std::size_t d = 0; d < a.devices.size(); ++d) {
+        EXPECT_EQ(a.devices[d].dispatched, b.devices[d].dispatched);
+        EXPECT_EQ(a.devices[d].planSwitches, b.devices[d].planSwitches);
+        EXPECT_EQ(a.devices[d].computeBusyTime,
+                  b.devices[d].computeBusyTime);
+    }
+}
+
+/**
+ * The ReadyOrder matrix: each ordered policy against its entry-order
+ * twin, with the arrival gate on and off and faults on and off.
+ * @p run(policy, gate, faulty, recorder) drains the trace through one
+ * execution path (@p gate null when off); @p same compares the two
+ * outcomes. Gate decisions and the full event stream, drop order
+ * included, must match too.
+ */
+template <typename Run, typename Same>
+void
+expectTwinsAgree(const ServiceEstimator &est, Run &&run, Same &&same)
+{
+    forEachOrderedPolicy([&](auto &ordered, auto &twin,
+                             DeadlinePolicy::Overload mode,
+                             bool reorders) {
+        for (bool gated : {false, true}) {
+            for (bool faulty : {false, true}) {
+                SCOPED_TRACE(::testing::Message() << "gated=" << gated
+                                                  << " faults=" << faulty);
+                AdmissionControllerParams cp;
+                cp.mode = mode;
+                AdmissionController ctrl(est, cp);
+                const multidnn::ArrivalAdmission *gate =
+                    gated ? &ctrl : nullptr;
+
+                ordered.reordered = 0;
+                obs::TraceRecorder rec;
+                auto out = run(ordered, gate, faulty, rec);
+                auto decisions = ctrl.decisions();
+                ctrl.resetDecisions();
+                obs::TraceRecorder twin_rec;
+                auto want = run(twin, gate, faulty, twin_rec);
+
+                same(out, want);
+                expectSameEvents(rec, twin_rec);
+                EXPECT_EQ(decisions.admitted, ctrl.decisions().admitted);
+                EXPECT_EQ(decisions.degraded, ctrl.decisions().degraded);
+                EXPECT_EQ(decisions.shed, ctrl.decisions().shed);
+
+                // Each arm exercises the path it is named after, and
+                // the policy order differs from entry order: always
+                // for SJF and EDF, and for FIFO once fault retries
+                // re-enter behind younger arrivals (ungated: the gate
+                // can keep the FIFO set too short to hold one).
+                if (reorders || (faulty && !gated)) {
+                    EXPECT_GT(ordered.reordered, 0u);
+                }
+                if (mode == DeadlinePolicy::Overload::Shed && !gated &&
+                    std::string(ordered.name()) == "deadline") {
+                    EXPECT_GT(dispatchSheds(rec), 0u);
+                }
+                if (faulty) {
+                    EXPECT_GT(out.faults.retries, 0);
+                }
+            }
+        }
+    });
+}
+
+TEST(ReadyOrder, FastSimMatchesAnEntryOrderScan)
+{
+    auto table = handTable();
+    ServiceEstimator est(table);
+    auto trace = floorTrace();
+    auto plan = floorFaults();
+
+    expectTwinsAgree(
+        est,
+        [&](const multidnn::SchedulingPolicy &policy,
+            const multidnn::ArrivalAdmission *gate, bool faulty,
+            obs::TraceRecorder &rec) {
+            ServingSimParams params;
+            params.readyLimit = 0;
+            params.cluster.deviceCount = 2;
+            params.cluster.overlapInitWithExec = true;
+            params.arrival = gate;
+            if (faulty)
+                params.faults = plan;
+            params.trace = &rec;
+            return simulateServing(trace, policy, table, params);
+        },
+        expectSameOutcome);
+}
+
+TEST(ReadyOrder, EventSchedulerMatchesAnEntryOrderScan)
+{
+    // The same matrix through the real scheduler: compiled plans,
+    // replayed runs and the scheduler's own trace events.
+    core::FlashMem fm(gpusim::DeviceProfile::onePlus12());
+    auto oracle = calibrateServices(fm, {ModelId::ResNet50, ModelId::ViT});
+    ServiceEstimator est(oracle);
+    SimTime resnet = oracle.at(ModelId::ResNet50).service;
+    SimTime vit = oracle.at(ModelId::ViT).service;
+    ModelMix mix;
+    mix.entries = {{ModelId::ResNet50, 2.0, 3 * resnet, 0},
+                   {ModelId::ViT, 1.0, 3 * vit, 0},
+                   {ModelId::ResNet50, 0.5, 0, 0}};
+    // About 2x what two devices serve.
+    double mean_s = (2.5 * toSeconds(resnet) + toSeconds(vit)) / 3.5;
+    auto trace = poissonTrace(mix, 4.0 / mean_s, 600, /*seed=*/31);
+    SimTime horizon = trace.back().arrival;
+
+    // About 8 stalls and 16 DMA errors over the trace, and a crash.
+    multidnn::FaultPlanParams fp;
+    fp.stallsPerSecond = 8.0 / toSeconds(horizon);
+    fp.meanStall = 4 * resnet;
+    fp.dmaErrorsPerSecond = 16.0 / toSeconds(horizon);
+    auto plan = multidnn::mergeFaultPlans(
+        multidnn::crashAndRejoin(0, horizon / 4, horizon / 10),
+        multidnn::generateFaultPlan(fp, 2, horizon, 5));
+
+    expectTwinsAgree(
+        est,
+        [&](const multidnn::SchedulingPolicy &policy,
+            const multidnn::ArrivalAdmission *gate, bool faulty,
+            obs::TraceRecorder &rec) {
+            multidnn::SchedulerConfig cfg;
+            cfg.cluster.deviceCount = 2;
+            cfg.cluster.overlapInitWithExec = true;
+            cfg.arrivalAdmission = gate;
+            if (faulty)
+                cfg.faults = plan;
+            cfg.trace = &rec;
+            return multidnn::EventScheduler(fm, cfg).run(trace, policy);
+        },
+        expectSameSchedule);
 }
 
 } // namespace

@@ -11,11 +11,13 @@
 
 #include <algorithm>
 #include <map>
+#include <span>
 
 #include "core/flashmem.hh"
 #include "graph/builder.hh"
 #include "multidnn/event_loop.hh"
 #include "multidnn/fifo_scheduler.hh"
+#include "multidnn/ready_set.hh"
 #include "multidnn/scheduler.hh"
 #include "obs/trace.hh"
 
@@ -211,6 +213,156 @@ TEST(EventScheduler, ReplayedDrainMatchesReExecutingEveryRun)
     EXPECT_EQ(dev.energyJoules, out.energyJoules);
 }
 
+// ------------------------------------------------------------ ready set
+
+/** FIFO order that counts its comparisons. */
+struct CountingFifo : FifoPolicy
+{
+    bool
+    before(const ReadyRequest &a, const ReadyRequest &b) const override
+    {
+        ++calls;
+        return FifoPolicy::before(a, b);
+    }
+    mutable int calls = 0;
+};
+
+ReadyRequest
+entryAt(SimTime arrival)
+{
+    ReadyRequest r;
+    r.arrival = arrival;
+    r.queueIndex = static_cast<std::size_t>(arrival);
+    return r;
+}
+
+std::vector<SimTime>
+arrivalsOf(const ReadySet &set)
+{
+    std::vector<SimTime> out;
+    for (const auto &r : set.entries())
+        out.push_back(r.arrival);
+    return out;
+}
+
+TEST(ReadySet, InsertsAtFrontMiddleAndBackAndStampsEntryOrder)
+{
+    FifoPolicy fifo;
+    ReadySet set(fifo);
+    for (SimTime t : {20, 40, 10, 30, 50})
+        set.insert(entryAt(t));
+    EXPECT_EQ(arrivalsOf(set), (std::vector<SimTime>{10, 20, 30, 40, 50}));
+    std::vector<std::uint64_t> stamps;
+    for (const auto &r : set.entries())
+        stamps.push_back(r.readySeq);
+    EXPECT_EQ(stamps, (std::vector<std::uint64_t>{2, 0, 3, 1, 4}));
+}
+
+TEST(ReadySet, InOrderInsertsAppendAfterOneComparison)
+{
+    CountingFifo fifo;
+    ReadySet set(fifo);
+    set.insert(entryAt(1));
+    EXPECT_EQ(fifo.calls, 0); // empty: nothing to compare
+    for (SimTime t = 2; t <= 6; ++t) {
+        fifo.calls = 0;
+        set.insert(entryAt(t));
+        EXPECT_EQ(fifo.calls, 1) << "arrival " << t;
+    }
+    // Out of order: compared against the tail, then searched.
+    fifo.calls = 0;
+    set.insert(entryAt(0));
+    EXPECT_GT(fifo.calls, 1);
+    EXPECT_EQ(arrivalsOf(set),
+              (std::vector<SimTime>{0, 1, 2, 3, 4, 5, 6}));
+}
+
+TEST(ReadySet, TakesFromTheFrontAndTheMiddle)
+{
+    FifoPolicy fifo;
+    ReadySet set(fifo);
+    for (SimTime t = 1; t <= 8; ++t)
+        set.insert(entryAt(t));
+    const ReadyRequest *base = set.entries().data();
+
+    EXPECT_EQ(set.take(0).arrival, 1);
+    EXPECT_EQ(set.entries().data(), base + 1); // the head advanced
+    // Elsewhere the entry is erased in place; the head stays.
+    EXPECT_EQ(set.take(1).arrival, 3);
+    EXPECT_EQ(set.take(4).arrival, 7);
+    EXPECT_EQ(set.entries().data(), base + 1);
+    EXPECT_EQ(arrivalsOf(set), (std::vector<SimTime>{2, 4, 5, 6, 8}));
+}
+
+TEST(ReadySet, InsertAfterAPopKeepsOrder)
+{
+    FifoPolicy fifo;
+    ReadySet set(fifo);
+    for (SimTime t : {10, 20, 30, 40})
+        set.insert(entryAt(t));
+    set.take(0);
+    set.insert(entryAt(25)); // below the tail, past a dead prefix
+    set.insert(entryAt(15)); // goes in front of every live entry
+    EXPECT_EQ(arrivalsOf(set), (std::vector<SimTime>{15, 20, 25, 30, 40}));
+}
+
+TEST(ReadySet, DeadPrefixCompactsOnceItMatchesTheLiveEntries)
+{
+    FifoPolicy fifo;
+    ReadySet set(fifo);
+    for (SimTime t = 1; t <= 8; ++t)
+        set.insert(entryAt(t));
+    const ReadyRequest *base = set.entries().data();
+    for (int i = 0; i < 3; ++i)
+        set.take(0);
+    EXPECT_EQ(set.entries().data(), base + 3); // 3 dead, 5 live
+    set.take(0); // 4 dead, 4 live: compacted
+    EXPECT_EQ(set.entries().data(), base);
+    EXPECT_EQ(arrivalsOf(set), (std::vector<SimTime>{5, 6, 7, 8}));
+}
+
+TEST(ReadySet, ResetsWhenItEmpties)
+{
+    FifoPolicy fifo;
+    ReadySet set(fifo);
+    for (SimTime t = 1; t <= 3; ++t)
+        set.insert(entryAt(t));
+    const ReadyRequest *base = set.entries().data();
+    set.take(0);
+    set.take(1);
+    set.take(0);
+    EXPECT_TRUE(set.empty());
+    EXPECT_EQ(set.size(), 0u);
+    set.insert(entryAt(9));
+    EXPECT_EQ(set.entries().data(), base);
+    EXPECT_EQ(arrivalsOf(set), (std::vector<SimTime>{9}));
+}
+
+TEST(ReadySet, ExtractIfRemovesInOrderAndKeepsMarks)
+{
+    FifoPolicy fifo;
+    ReadySet set(fifo);
+    for (SimTime t : {6, 2, 5, 1, 4, 3})
+        set.insert(entryAt(t));
+    set.take(0);
+    std::vector<ReadyRequest> removed;
+    set.extractIf(
+        [](ReadyRequest &r) {
+            if (r.arrival % 2 == 0)
+                return true;
+            r.degraded = true;
+            return false;
+        },
+        removed);
+    std::vector<SimTime> gone;
+    for (const auto &r : removed)
+        gone.push_back(r.arrival);
+    EXPECT_EQ(gone, (std::vector<SimTime>{2, 4, 6}));
+    EXPECT_EQ(arrivalsOf(set), (std::vector<SimTime>{3, 5}));
+    for (const auto &r : set.entries())
+        EXPECT_TRUE(r.degraded);
+}
+
 // ------------------------------------------------- arrival cursor
 
 /** One request's fate in a drainClusterQueue run. */
@@ -262,7 +414,7 @@ drainWithFixedServices(const std::vector<ModelRequest> &queue,
             r.latencyBound = q.latencyBound;
             return r;
         },
-        [&](const ReadyRequest &picked, const std::vector<ReadyRequest> &,
+        [&](const ReadyRequest &picked, std::span<const ReadyRequest>,
             SimTime now, std::uint64_t) {
             int dev = cluster.pickDevice(now, picked.model, mib(100));
             auto t = cluster.planTimes(dev, now, init(picked.model),
@@ -333,16 +485,9 @@ TEST(ArrivalCursor, EqualArrivalsEnterAndDispatchInQueueOrder)
 {
     // The queue is out of order, so arrivals stream through the stable
     // index sort; requests sharing an arrival keep their queue order.
-    // The policy takes the oldest ready entry, so dispatch order is
-    // ready-set entry order.
-    struct FirstReady : FifoPolicy
-    {
-        std::size_t
-        select(SimTime, const std::vector<ReadyRequest> &) const override
-        {
-            return 0;
-        }
-    } policy;
+    // FIFO takes the oldest ready entry, index 0 in policy (FIFO)
+    // order, so dispatch order is arrival order.
+    FifoPolicy policy;
     std::vector<ModelRequest> queue{
         {ModelId::ResNet50, milliseconds(4), 0, 0}, // 0
         {ModelId::ResNet50, 0, 0, 0},               // 1

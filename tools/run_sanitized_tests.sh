@@ -15,9 +15,11 @@
 #   window-flow tests (integer costs scaled by 1000 and summed over
 #   every chunk), the run-replay tests (shifted timestamps and summed
 #   busy times, bytes and trace points against the executions they
-#   replace), and the event-loop arrival-cursor and admission-floor
+#   replace), the event-loop arrival-cursor and admission-floor
 #   tests (index sorts over the queue; deadline-minus-estimate bounds
-#   compared against the extreme SimTime values). The address build
+#   compared against the extreme SimTime values), and the ready-set
+#   tests (head-offset index arithmetic of the policy-ordered buffer,
+#   and its oracle against an entry-order scan). The address build
 #   already folds UBSan in, so 'undefined' is the standalone UBSan
 #   build for isolating alignment/overflow reports from ASan noise.
 #   Extra ctest arguments can be passed via CTEST_ARGS, e.g.
@@ -67,9 +69,9 @@ case "$requested" in
         run_one address
         run_one thread
         # Focused UBSan arm: the greedy start, the window flow, the
-        # run replay, the arrival cursor and the admission floor,
-        # alone, under the standalone UBSan build.
-        run_one undefined -R 'GreedyStart|WindowFlow|FlowFirst|^Replay|ReplayedDrain|AppendShifted|StartTimeInvariant|ArrivalCursor|AdmissionFloor'
+        # run replay, the arrival cursor, the admission floor and the
+        # ready set, alone, under the standalone UBSan build.
+        run_one undefined -R 'GreedyStart|WindowFlow|FlowFirst|^Replay|ReplayedDrain|AppendShifted|StartTimeInvariant|ArrivalCursor|AdmissionFloor|ReadySet|ReadyOrder'
         ;;
     *)  echo "usage: $0 [address|thread|undefined]" >&2; exit 2 ;;
 esac
